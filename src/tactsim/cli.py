@@ -93,6 +93,14 @@ class _Settings:
 
 pass_settings = click.make_pass_decorator(_Settings)
 
+_METHOD_OPTION = click.option(
+    "--method", type=click.Choice(["auto", "dense_expm", "krylov"]), default=None,
+    help="Propagator. auto (default): one cached tridiagonal eigensolve per "
+         "parity block; dense_expm and krylov are the cross-check oracles.")
+_TOL_OPTION = click.option(
+    "--tol", type=float, default=None,
+    help="Krylov error tolerance (binds only --method krylov).")
+
 
 @click.group()
 @click.option("--config", type=click.Path(exists=True, dir_okay=False),
@@ -159,9 +167,8 @@ def _fail(exc):
               help="Evolution time (sss only).")
 @click.option("--chi", type=float, default=1.0, show_default=True)
 @click.option("--gamma", type=float, default=0.0, show_default=True)
-@click.option("--method", type=click.Choice(["auto", "dense_expm", "krylov"]),
-              default=None)
-@click.option("--tol", type=float, default=None, help="Propagation tolerance.")
+@_METHOD_OPTION
+@_TOL_OPTION
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "both"]),
               default=None)
@@ -190,9 +197,8 @@ def state(settings, kind, j, alpha, beta, tau, chi, gamma, method, tol, out, fmt
 @click.option("--chi", type=float, default=1.0)
 @click.option("--gamma", type=float, default=0.0)
 @click.option("--grid", default=None, help="Resolution as NPHIxNTHETA.")
-@click.option("--method", type=click.Choice(["auto", "dense_expm", "krylov"]),
-              default=None)
-@click.option("--tol", type=float, default=None)
+@_METHOD_OPTION
+@_TOL_OPTION
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @pass_settings
 def qpd_cmd(settings, j, kind, tau, alpha, beta, chi, gamma, grid, method, tol, out):
@@ -228,9 +234,8 @@ def qpd_cmd(settings, j, kind, tau, alpha, beta, chi, gamma, grid, method, tol, 
 @click.option("--tau", type=float, required=True)
 @click.option("--chi", type=float, default=1.0, show_default=True)
 @click.option("--gamma", type=float, default=0.0, show_default=True)
-@click.option("--method", type=click.Choice(["auto", "dense_expm", "krylov"]),
-              default=None)
-@click.option("--tol", type=float, default=None)
+@_METHOD_OPTION
+@_TOL_OPTION
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "both"]),
               default=None)
@@ -259,9 +264,8 @@ def evolve_cmd(settings, j, tau, chi, gamma, method, tol, out, fmt):
 @click.option("--tau-max", type=float, default=None)
 @click.option("--grid", type=int, default=None, help="Coarse grid size.")
 @click.option("--refine-tol", type=float, default=None)
-@click.option("--method", type=click.Choice(["auto", "dense_expm", "krylov"]),
-              default=None)
-@click.option("--tol", type=float, default=None)
+@_METHOD_OPTION
+@_TOL_OPTION
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @pass_settings
 def scan_cmd(settings, j, metric, tau_min, tau_max, grid, refine_tol,
@@ -296,6 +300,32 @@ def scan_cmd(settings, j, metric, tau_min, tau_max, grid, refine_tol,
     click.echo(str(out_path / f"{prefix}.csv"))
 
 
+def _read_pairs(path):
+    """(J, value) rows of a two-column CSV file.
+
+    Blank and '#' lines are skipped and the first other line may be a
+    header; any other line that is not two numbers is an error naming
+    path:line.
+    """
+    rows = []
+    header_allowed = True
+    for line_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            values = [float(part) for part in line.split(",")]
+        except ValueError:
+            values = None
+        is_header, header_allowed = values is None and header_allowed, False
+        if is_header:
+            continue
+        if values is None or len(values) != 2:
+            raise ValueError(f"{path}:{line_no}: expected 'J,value', got {raw!r}")
+        rows.append(tuple(values))
+    return rows
+
+
 @main.command(name="fit")
 @click.option("--family", type=click.Choice(["sq_power_offset", "shifted_power",
                                              "log_over_linear"]), required=True)
@@ -307,16 +337,7 @@ def scan_cmd(settings, j, metric, tau_min, tau_max, grid, refine_tol,
 def fit_cmd(settings, family, data_path, init, out):
     """Fit one scaling-law family to (J, value) pairs from a CSV file."""
     try:
-        rows = []
-        for line in Path(data_path).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                continue  # header line
+        rows = _read_pairs(data_path)
         init_params = None
         if init is not None:
             init_params = [float(v) for v in init.split(",")]
@@ -332,9 +353,8 @@ def fit_cmd(settings, family, data_path, init, out):
 @click.option("--j-list", default="5,10,20,50,100,200,400", show_default=True,
               help="Ascending integer J values to sweep.")
 @click.option("--grid", type=int, default=None, help="Coarse grid size.")
-@click.option("--method", type=click.Choice(["auto", "dense_expm", "krylov"]),
-              default=None)
-@click.option("--tol", type=float, default=None)
+@_METHOD_OPTION
+@_TOL_OPTION
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @pass_settings

@@ -3,7 +3,21 @@
 Units: hbar = 1, so the evolution operator for the twisting generator G is
 exp(G*tau) with G skew-hermitian and tau dimensionless when chi = 1.
 
-Two propagation routes are provided and cross-checked by the tests:
+Generators that couple only M <-> M+-2 are propagated per parity block,
+so amplitudes of the untouched parity stay exactly zero.  Each parity
+block of such a generator is tridiagonal, and so are Jx, Jy and any
+unit-vector J_n.  The default route exploits this:
+
+* ``auto``: one cached eigendecomposition per tridiagonal Hermitian H
+  (H = iG for a parity block of a skew-hermitian generator, H = J_axis
+  for a rotation), H = P V diag(lam) V^T P* with a unit phase gauge P
+  and ``scipy.linalg.eigh_tridiagonal``; then
+  exp(-i t H) v = P V (exp(-i lam t) * V^T P* v) for every t at
+  round-off accuracy.  Other generators use dense scaling-and-squaring
+  up to dimension 64 and the Krylov route above.
+
+Two independent routes stay selectable as oracles and are cross-checked
+against ``auto`` by the tests:
 
 * ``dense_expm``: scaling-and-squaring on the dense generator (scipy).
 * ``krylov``: Lanczos exponential action with full reorthogonalization and
@@ -11,14 +25,13 @@ Two propagation routes are provided and cross-checked by the tests:
   standard residual estimate beta0 * beta_{m+1} * dt * |y_m|; if the
   accumulated estimate cannot be brought below the requested tolerance
   within ``max_substeps`` the propagation fails loudly instead of
-  returning an inaccurate state.
-
-Generators that couple only M <-> M+-2 are propagated per parity block,
-so amplitudes of the untouched parity stay exactly zero.
+  returning an inaccurate state.  The tolerance and the substep cap bind
+  only this route.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -30,6 +43,7 @@ from .operators import (
     build_operator,
     ladder_coefficients,
     m_values,
+    spin_dimension,
     validate_spin,
 )
 from .states import SpinState, basis_state
@@ -39,6 +53,8 @@ _ROTATION_DENSE_LIMIT = 2048
 _KRYLOV_M = 40
 _KRYLOV_STEP_BUDGET = 0.3  # target ||G||*dt per substep, in units of m
 _EVOLVE_NORM_TOL = 1e-10
+_EIGEN_CACHE_SIZE = 32  # eigensystems: ~3 per J (x, y, one twisting block)
+_ROTATION_CACHE_SIZE = 32
 
 AXIS_LABELS = ("x", "y", "z")
 
@@ -83,8 +99,11 @@ class TwistProtocol:
 class PropagatorConfig:
     """How to apply the matrix exponential.
 
-    method "auto" uses dense scaling-and-squaring for dimensions up to 64
-    and the Krylov route above that.
+    method "auto" applies the cached tridiagonal eigendecomposition to each
+    parity block of a parity-preserving skew-hermitian generator (for other
+    generators: dense scaling-and-squaring up to dimension 64, Krylov
+    above).  "dense_expm" and "krylov" force one of the oracle routes;
+    tolerance and max_substeps bind only "krylov".
     """
 
     method: str = "auto"
@@ -294,6 +313,71 @@ def _krylov_expm_action(bands: _Bands, v, tau, tolerance, max_substeps):
         n_sub *= 2
 
 
+def _matvec(a, x):
+    """a @ x, with a real ``a`` applied to a complex x as two real columns.
+
+    numpy would otherwise copy ``a`` to complex on every product.  A real
+    ``a`` and an exactly-real x give an exactly-real result.
+    """
+    if np.iscomplexobj(a) or not np.iscomplexobj(x):
+        return a @ x
+    if not np.any(x.imag):
+        return a @ x.real
+    return (a @ np.ascontiguousarray(x).view(float).reshape(-1, 2)).view(complex).ravel()
+
+
+class _TridiagonalExp:
+    """exp(-i t H) for a Hermitian tridiagonal H, from one eigendecomposition.
+
+    H = P T P* with unit phases P chosen so that T is real symmetric
+    tridiagonal with off-diagonal |e_k|; T = V diag(values) V^T comes from
+    ``eigh_tridiagonal``.  When H is purely imaginary, exp(-i t H) is real,
+    and its action on a real vector is returned real.
+    """
+
+    __slots__ = ("phase", "values", "vectors", "is_real")
+
+    def __init__(self, diag, upper):
+        mag = np.abs(upper)
+        unit = np.ones(len(upper), dtype=complex)
+        nonzero = mag > 0
+        unit[nonzero] = np.conj(upper[nonzero]) / mag[nonzero]
+        phase = np.cumprod(np.concatenate(([1.0 + 0j], unit)))
+        self.phase = phase / np.abs(phase)  # keep |p_k| = 1 to round-off
+        self.values, self.vectors = scipy.linalg.eigh_tridiagonal(diag, mag)
+        self.is_real = not (np.any(diag) or np.any(upper.real))
+        for arr in (self.phase, self.values, self.vectors):
+            arr.flags.writeable = False
+
+    def apply(self, t, v):
+        """exp(-i t H) v."""
+        coeff = _matvec(self.vectors.T, np.conj(self.phase) * v)
+        out = self.phase * _matvec(self.vectors, np.exp(-1j * t * self.values) * coeff)
+        return out.real if self.is_real and not np.any(np.imag(v)) else out
+
+    def matrix(self, t):
+        """exp(-i t H) as a dense matrix (real when H is purely imaginary)."""
+        vec, lam = self.vectors, self.values
+        core = (vec * np.cos(t * lam)) @ vec.T - 1j * ((vec * np.sin(t * lam)) @ vec.T)
+        mat = self.phase[:, None] * core * np.conj(self.phase)
+        return mat.real.copy() if self.is_real else mat  # copy: drop the complex buffer
+
+
+@lru_cache(maxsize=_EIGEN_CACHE_SIZE)
+def _cached_eigensystem(diag: bytes, upper: bytes) -> _TridiagonalExp:
+    return _TridiagonalExp(np.frombuffer(diag), np.frombuffer(upper, dtype=complex))
+
+
+def _tridiagonal_exp(diag, upper) -> _TridiagonalExp:
+    """The shared eigensystem of the Hermitian tridiagonal with these bands.
+
+    Keyed on the band content, so equal operators share one decomposition
+    whoever built them.
+    """
+    return _cached_eigensystem(np.asarray(diag, dtype=float).tobytes(),
+                               np.asarray(upper, dtype=complex).tobytes())
+
+
 def _propagate_vector(bands: _Bands, v, tau, cfg: PropagatorConfig):
     method = cfg.method
     if method == "auto":
@@ -326,25 +410,23 @@ def evolve(state: SpinState, generator: BandedOperator, tau,
     v = state.amplitudes
     n = state.dim
     out = np.zeros(n, dtype=complex)
-    if generator.even_offsets_only and n > 2:
+    if generator.even_offsets_only:
         # parity-preserving generator: the two M-parity sectors evolve
         # independently, and an empty sector stays exactly zero
+        spectral = cfg.method == "auto" and generator.hermiticity_tag == SKEW_HERMITIAN
         for parity in (0, 1):
             sub = v[parity::2]
             if not np.any(sub != 0.0):
                 continue
-            block = {}
-            b0 = generator.bands.get(0)
-            if b0 is not None:
-                block[0] = b0[parity::2]
-            b2 = generator.bands.get(2)
-            if b2 is not None:
-                block[1] = b2[parity::2]
-            bm2 = generator.bands.get(-2)
-            if bm2 is not None:
-                block[-1] = bm2[parity::2]
-            bands = _Bands(len(sub), block)
-            out[parity::2] = _propagate_vector(bands, sub, tau, cfg)
+            block = {d // 2: c[parity::2] for d, c in generator.bands.items()
+                     if d % 2 == 0}
+            if spectral:
+                size = len(sub)
+                exp_h = _tridiagonal_exp((1j * block.get(0, np.zeros(size))).real,
+                                         1j * block.get(1, np.zeros(size - 1)))
+                out[parity::2] = exp_h.apply(tau, sub)
+            else:
+                out[parity::2] = _propagate_vector(_Bands(len(sub), block), sub, tau, cfg)
     else:
         out[:] = _propagate_vector(_Bands(n, generator.bands), v, tau, cfg)
     nrm = float(np.linalg.norm(out))
@@ -374,22 +456,25 @@ def _axis_operator(j, axis) -> BandedOperator:
     return BandedOperator(j, bands, HERMITIAN)
 
 
-_rotation_cache: dict = {}
+def _axis_exp(j, axis) -> _TridiagonalExp:
+    """Eigensystem of J_axis, which is tridiagonal for every axis."""
+    bands = _axis_operator(j, axis).bands
+    n = spin_dimension(j)
+    return _tridiagonal_exp(bands.get(0, np.zeros(n)).real, bands.get(1, np.zeros(n - 1)))
+
+
+@lru_cache(maxsize=_ROTATION_CACHE_SIZE)
+def _rotation_cache(two_j, axis, angle):
+    """exp(-i * angle * J_axis) for spin two_j/2, shared read-only."""
+    mat = _axis_exp(two_j / 2, axis).matrix(angle)
+    mat.flags.writeable = False
+    return mat
 
 
 def _rotation_matrix(j, axis, angle):
+    """Cached exp(-i * angle * J_axis); real for y-like axes."""
     axis_key = axis if isinstance(axis, str) else tuple(float(c) for c in axis)
-    key = (validate_spin(j), axis_key, float(angle))
-    cached = _rotation_cache.get(key)
-    if cached is not None:
-        return cached
-    gen = -1j * angle * _axis_operator(j, axis).to_dense()
-    if np.all(gen.imag == 0.0):
-        mat = scipy.linalg.expm(gen.real)  # y-like axis: real orthogonal
-    else:
-        mat = scipy.linalg.expm(gen)
-    _rotation_cache[key] = mat
-    return mat
+    return _rotation_cache(validate_spin(j), axis_key, float(angle))
 
 
 def rotate(state: SpinState, axis, angle) -> SpinState:
@@ -400,14 +485,9 @@ def rotate(state: SpinState, axis, angle) -> SpinState:
         # Jz is diagonal here; apply the phases exactly
         out = state.amplitudes * np.exp(-1j * angle * state.m_values)
     elif state.dim <= _ROTATION_DENSE_LIMIT:
-        out = _rotation_matrix(state.j, axis, angle) @ state.amplitudes
+        out = _matvec(_rotation_matrix(state.j, axis, angle), state.amplitudes)
     else:
-        op = _axis_operator(state.j, axis)
-        scaled = {d: -1j * angle * c for d, c in op.bands.items()}
-        bands = _Bands(state.dim, scaled)
-        out = _krylov_expm_action(bands, state.amplitudes, 1.0,
-                                  DEFAULT_CONFIG.tolerance,
-                                  DEFAULT_CONFIG.max_substeps)
+        out = _axis_exp(state.j, axis).apply(angle, state.amplitudes)
     nrm = float(np.linalg.norm(out))
     if abs(nrm - 1.0) > _EVOLVE_NORM_TOL:
         raise PropagationError(f"rotated norm deviates from 1 by {nrm - 1.0:.3e}")

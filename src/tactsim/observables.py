@@ -8,10 +8,11 @@ field-estimation bounds derived from them.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .operators import build_operator, spin_dimension
+from .operators import build_operator, spin_dimension, validate_spin
 from .states import SpinState, css_magnitudes
 
 
@@ -35,13 +36,18 @@ class SpinMoments:
     variance_y: float
 
 
+@lru_cache(maxsize=64)
+def _spin_operators(two_j):
+    """(Jx, Jy, Jz) of spin two_j/2; operators are immutable, so shared."""
+    return tuple(build_operator(two_j / 2, "J" + axis) for axis in ("x", "y", "z"))
+
+
 def spin_moments(state: SpinState) -> SpinMoments:
     """First moments of (Jx, Jy, Jz) and the variances of Jz and Jy."""
     v = state.amplitudes
     means = []
     second = {}
-    for axis in ("x", "y", "z"):
-        op = build_operator(state.j, "J" + axis)
+    for axis, op in zip(("x", "y", "z"), _spin_operators(validate_spin(state.j))):
         ov = op.apply(v)
         means.append(float(np.vdot(v, ov).real))
         if axis in ("y", "z"):

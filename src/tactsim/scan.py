@@ -14,7 +14,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import DEFAULT_CONFIG, DEFAULT_PROTOCOL, PropagatorConfig, make_sss
+from .dynamics import (
+    DEFAULT_CONFIG,
+    DEFAULT_PROTOCOL,
+    PropagationError,
+    PropagatorConfig,
+    make_sss,
+)
 from .observables import fidelity, spin_moments
 from .reference import default_tau_max
 from .states import make_ewss, make_twin_fock
@@ -238,17 +244,21 @@ def _run_row(j, metric, cfg, n_grid) -> SweepRow:
         return SweepRow(j=j, metric=metric, tau_star=res.tau_star,
                         value_star=res.value_star, grid_size=n_grid,
                         refine_tol=spec.refine_tol, status="ok", result=res)
-    except Exception as exc:  # row failures are recorded, never silent
+    except (ValueError, PropagationError) as exc:
+        # domain failures are recorded per row; anything else is a bug and raises
         return SweepRow(j=j, metric=metric, tau_star=math.nan,
                         value_star=math.nan, grid_size=n_grid,
-                        refine_tol=math.nan, status="failed", error=str(exc))
+                        refine_tol=math.nan, status="failed",
+                        error=f"{type(exc).__name__}: {exc}")
 
 
 def scaling_sweep(j_list, metrics, cfg: PropagatorConfig = DEFAULT_CONFIG,
                   n_grid: int = 512, workers: int = 1):
     """Run scan_tau for every (j, metric) pair, in input order.
 
-    Rows either complete or are explicitly marked failed.  With
+    Rows either complete or are explicitly marked failed: a ValueError or
+    PropagationError becomes a failed row with the exception type in
+    ``error``, and any other exception propagates to the caller.  With
     workers > 1 the rows run on a thread pool; aggregation order stays
     fixed by the input order.
     """

@@ -178,6 +178,18 @@ class TestFitCommand:
         assert "3 data points" in result.output
 
 
+    @pytest.mark.parametrize("bad_line", ["J,value", "30"])
+    def test_bad_line_after_header_fails_with_location(self, runner, tmp_path, bad_line):
+        data = tmp_path / "data.csv"
+        lines = ["# J, value", "J,value", "10,6.0", "20,11.0", bad_line, "40,21.0"]
+        data.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["fit", "--family", "shifted_power",
+                                      "--data", str(data), "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert f"{data}:5:" in result.output
+        assert not (tmp_path / "fit_shifted_power.json").exists()
+
+
 class TestConfigPrecedence:
     def test_config_supplies_defaults(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"

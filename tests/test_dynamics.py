@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from tactsim import dynamics
 from tactsim.dynamics import (
     PropagationError,
     PropagatorConfig,
     TwistProtocol,
+    _axis_operator,
+    _rotation_matrix,
     evolve,
     make_sss,
     rotate,
@@ -110,6 +113,65 @@ class TestEvolve:
         cfg = PropagatorConfig(method="krylov", tolerance=1e-12, max_substeps=1)
         with pytest.raises(PropagationError, match="substeps"):
             evolve(basis_state(60, 60), tact_generator(60), default_tau_max(60), cfg)
+
+
+class TestSpectralDefault:
+    """The default eigensolve route against the dense and Krylov oracles."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    @pytest.mark.parametrize("j", [0.5, 1, 3, 5.5, 10, 50, 100])
+    def test_auto_matches_oracles(self, j, gamma):
+        g = tact_generator(j, gamma=gamma)
+        start = basis_state(j, j)
+        for tau in np.linspace(0, default_tau_max(j), 4)[1:]:
+            auto = evolve(start, g, tau).amplitudes
+            for cfg in (DENSE, KRYLOV):
+                oracle = evolve(start, g, tau, cfg).amplitudes
+                assert np.max(np.abs(auto - oracle)) <= 1e-12
+
+    def test_general_start_state_matches_dense(self):
+        j = 10
+        g = tact_generator(j, chi=0.7, gamma=0.9)
+        s = make_css(j, CoherentSpinParams(alpha=0.3, beta=1.2))
+        for tau in (0.01, 0.2, 1.0):
+            auto = evolve(s, g, tau).amplitudes
+            dense = evolve(s, g, tau, DENSE).amplitudes
+            assert np.max(np.abs(auto - dense)) <= 1e-12
+
+    @pytest.mark.parametrize("axis", ["x", "y", (0.48, 0.6, 0.64)])
+    @pytest.mark.parametrize("j", [0.5, 1, 7.5, 50])
+    def test_rotation_matrix_matches_expm(self, j, axis):
+        for angle in (0.4, math.pi / 2, 2.9):
+            mat = _rotation_matrix(j, axis, angle)
+            oracle = scipy.linalg.expm(-1j * angle * _axis_operator(j, axis).to_dense())
+            assert np.max(np.abs(mat - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_large_rotation_without_matrix_matches(self, monkeypatch, axis):
+        s = make_css(10, CoherentSpinParams(alpha=0.3, beta=1.2))
+        expect = rotate(s, axis, 0.8).amplitudes
+        monkeypatch.setattr(dynamics, "_ROTATION_DENSE_LIMIT", 8)
+        got = rotate(s, axis, 0.8).amplitudes
+        assert np.max(np.abs(got - expect)) <= 1e-12
+
+    def test_y_rotation_matrix_is_real(self):
+        assert not np.iscomplexobj(_rotation_matrix(20, "y", 0.7))
+        assert not np.iscomplexobj(_rotation_matrix(20, (0.0, -1.0, 0.0), 0.7))
+
+    @pytest.mark.parametrize("j", [3, 50, 100])
+    def test_real_flag_survives_evolve_and_y_rotation(self, j):
+        out = evolve(basis_state(j, j), tact_generator(j), 0.5 * default_tau_max(j))
+        assert out.real_flag
+        assert rotate(out, "y", math.pi / 2).real_flag
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_empty_parity_sector_stays_exactly_zero(self, gamma):
+        for j in (5.5, 100):
+            g = tact_generator(j, gamma=gamma)
+            for parity in (0, 1):
+                start = basis_state(j, j - parity)
+                out = evolve(start, g, default_tau_max(j)).amplitudes
+                assert np.all(out[1 - parity::2] == 0.0)
 
 
 class TestRotate:

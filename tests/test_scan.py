@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tactsim import scan
 from tactsim.reference import default_tau_max, reference_value
 from tactsim.scan import ScanSpec, scan_tau, scaling_sweep
 
@@ -81,6 +82,20 @@ def test_sweep_records_failures_without_stopping():
     assert rows[0].status == "failed"
     assert "integer" in rows[0].error
     assert rows[1].status == "ok"
+
+
+def test_sweep_failed_row_names_exception_type():
+    rows = scaling_sweep([2.5], ["fid_tfs"], n_grid=64)
+    assert rows[0].error.startswith("ValueError: ")
+
+
+def test_sweep_reraises_programming_errors(monkeypatch):
+    def broken(spec, cfg):
+        raise TypeError("bug in a metric")
+
+    monkeypatch.setattr(scan, "scan_tau", broken)
+    with pytest.raises(TypeError, match="bug in a metric"):
+        scaling_sweep([3], ["fid_ewss"], n_grid=64)
 
 
 def test_sweep_parallel_matches_serial():
