@@ -14,7 +14,9 @@ from .dynamics import (
     PropagatorConfig,
     TwistProtocol,
     evolve,
+    evolve_many,
     make_sss,
+    make_sss_many,
     rotate,
     tact_generator,
 )
@@ -71,6 +73,7 @@ __all__ = [
     "build_operator",
     "evaluate",
     "evolve",
+    "evolve_many",
     "fidelity",
     "fisher_bound",
     "fit",
@@ -78,6 +81,7 @@ __all__ = [
     "make_css",
     "make_ewss",
     "make_sss",
+    "make_sss_many",
     "make_twin_fock",
     "prob_distribution",
     "qpd",

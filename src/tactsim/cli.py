@@ -27,7 +27,7 @@ from .dynamics import (
 from .fitting import FitError, fit
 from .observables import prob_distribution, qpd
 from .reproduce import run_reproduction
-from .scan import ScanSpec, scan_tau
+from .scan import METRICS, ScanSpec, scan_tau
 from .states import (
     CoherentSpinParams,
     SpinState,
@@ -257,9 +257,7 @@ def evolve_cmd(settings, j, tau, chi, gamma, method, tol, out, fmt):
 
 @main.command(name="scan")
 @click.option("--j", type=float, required=True)
-@click.option("--metric", type=click.Choice(["fid_ewss", "fid_tfs",
-                                             "var_z_max", "var_y_min"]),
-              required=True)
+@click.option("--metric", type=click.Choice(list(METRICS)), required=True)
 @click.option("--tau-min", type=float, default=None)
 @click.option("--tau-max", type=float, default=None)
 @click.option("--grid", type=int, default=None, help="Coarse grid size.")
@@ -355,17 +353,16 @@ def fit_cmd(settings, family, data_path, init, out):
 @click.option("--grid", type=int, default=None, help="Coarse grid size.")
 @_METHOD_OPTION
 @_TOL_OPTION
-@click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @pass_settings
-def reproduce_cmd(settings, j_list, grid, method, tol, workers, out):
+def reproduce_cmd(settings, j_list, grid, method, tol, out):
     """Run the full sweep-and-fit pipeline and compare against the
     published reference coefficients; exit nonzero if a check fails."""
     try:
         cfg = _propagator(settings, method, tol)
         n_grid = settings.get("grid", grid, 512, int)
         js = [float(part) for part in str(j_list).split(",") if part.strip()]
-        report = run_reproduction(js, cfg=cfg, n_grid=n_grid, workers=workers)
+        report = run_reproduction(js, cfg=cfg, n_grid=n_grid)
         out_path = _out_dir(settings, out)
         _write_json(out_path / "report.json", report.to_json_dict())
         (out_path / "report.txt").write_text(report.to_text() + "\n")

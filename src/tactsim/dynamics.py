@@ -13,15 +13,17 @@ unit-vector J_n.  The default route exploits this:
   for a rotation), H = P V diag(lam) V^T P* with a unit phase gauge P
   and ``scipy.linalg.eigh_tridiagonal``; then
   exp(-i t H) v = P V (exp(-i lam t) * V^T P* v) for every t at
-  round-off accuracy.  Other generators use dense scaling-and-squaring
-  up to dimension 64 and the Krylov route above.
+  round-off accuracy; ``evolve_many`` takes a whole vector of t in one
+  product.  Other generators use dense scaling-and-squaring up to
+  dimension 64 and the Krylov route above.
 
 Two independent routes stay selectable as oracles and are cross-checked
 against ``auto`` by the tests:
 
 * ``dense_expm``: scaling-and-squaring on the dense generator (scipy).
 * ``krylov``: Lanczos exponential action with full reorthogonalization and
-  adaptive substepping.  The substep error is controlled through the
+  adaptive substepping (the real part is returned for a real generator
+  and state, where the exponential is real).  The substep error is controlled through the
   standard residual estimate beta0 * beta_{m+1} * dt * |y_m|; if the
   accumulated estimate cannot be brought below the requested tolerance
   within ``max_substeps`` the propagation fails loudly instead of
@@ -55,6 +57,7 @@ _KRYLOV_STEP_BUDGET = 0.3  # target ||G||*dt per substep, in units of m
 _EVOLVE_NORM_TOL = 1e-10
 _EIGEN_CACHE_SIZE = 32  # eigensystems: ~3 per J (x, y, one twisting block)
 _ROTATION_CACHE_SIZE = 32
+_GENERATOR_CACHE_SIZE = 64
 
 AXIS_LABELS = ("x", "y", "z")
 
@@ -82,17 +85,25 @@ class TwistProtocol:
             raise ValueError("gamma must be finite")
         if not math.isfinite(self.rotation_angle):
             raise ValueError("rotation angle must be finite")
-        axis = self.rotation_axis
-        if isinstance(axis, str):
-            if axis not in AXIS_LABELS:
-                raise ValueError(f"rotation axis label must be one of {AXIS_LABELS}")
-        else:
-            vec = np.asarray(axis, dtype=float)
-            if vec.shape != (3,):
-                raise ValueError("rotation axis vector must have 3 components")
-            if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
-                raise ValueError("rotation axis vector must be normalized (1e-12)")
-            object.__setattr__(self, "rotation_axis", tuple(float(c) for c in vec))
+        object.__setattr__(self, "rotation_axis", _axis_key(self.rotation_axis))
+
+
+def _axis_key(axis):
+    """A rotation axis as its label or as a unit vector of three floats.
+
+    Accepts "x", "y", "z" or any 3-sequence (tuple, list, ndarray) of unit
+    length within 1e-12; anything else raises ValueError.
+    """
+    if isinstance(axis, str):
+        if axis not in AXIS_LABELS:
+            raise ValueError(f"rotation axis label must be one of {AXIS_LABELS}")
+        return axis
+    vec = np.asarray(axis, dtype=float)
+    if vec.shape != (3,):
+        raise ValueError("rotation axis vector must have 3 components")
+    if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
+        raise ValueError("rotation axis vector must be normalized (1e-12)")
+    return tuple(float(c) for c in vec)
 
 
 @dataclass(frozen=True)
@@ -142,62 +153,7 @@ def tact_generator(j, chi=1.0, gamma=0.0) -> BandedOperator:
     return BandedOperator(j, {2: upper, -2: lower}, SKEW_HERMITIAN)
 
 
-class _Bands:
-    """Minimal banded matrix: offset -> coefficient array, any dimension."""
-
-    __slots__ = ("n", "items", "is_real")
-
-    def __init__(self, n, bands):
-        self.n = n
-        items = []
-        real = True
-        for d, coef in bands.items():
-            coef = np.asarray(coef)
-            if np.iscomplexobj(coef):
-                if np.all(coef.imag == 0.0):
-                    coef = coef.real.copy()
-                else:
-                    real = False
-            items.append((d, coef))
-        self.items = items
-        self.is_real = real
-
-    def apply_real(self, v):
-        out = np.zeros(self.n)
-        for d, coef in self.items:
-            if d >= 0:
-                out[: self.n - d] += coef * v[d:]
-            else:
-                out[-d:] += coef * v[: self.n + d]
-        return out
-
-    def apply_complex(self, v):
-        out = np.zeros(self.n, dtype=complex)
-        for d, coef in self.items:
-            if d >= 0:
-                out[: self.n - d] += coef * v[d:]
-            else:
-                out[-d:] += coef * v[: self.n + d]
-        return out
-
-    def sup_norm(self):
-        rows = np.zeros(self.n)
-        for d, coef in self.items:
-            if d >= 0:
-                rows[: self.n - d] += np.abs(coef)
-            else:
-                rows[-d:] += np.abs(coef)
-        return float(rows.max()) if self.n else 0.0
-
-    def dense(self):
-        dtype = float if self.is_real else complex
-        out = np.zeros((self.n, self.n), dtype=dtype)
-        for d, coef in self.items:
-            out += np.diag(coef, d)
-        return out
-
-
-def _lanczos_herm_step(apply_g, v, dt, m):
+def _lanczos_step(g, v, dt, m):
     """exp(dt*G) v for one substep, G skew-hermitian, via Lanczos on iG.
 
     Returns (result, local error estimate).
@@ -214,7 +170,7 @@ def _lanczos_herm_step(apply_g, v, dt, m):
     used = m
     beta_next = 0.0
     for k in range(m):
-        w = 1j * apply_g(V[k])
+        w = 1j * _matvec(g, V[k])
         ak = float(np.vdot(V[k], w).real)
         w -= ak * V[k]
         if k:
@@ -238,63 +194,17 @@ def _lanczos_herm_step(apply_g, v, dt, m):
     return out, err
 
 
-def _lanczos_skew_step(apply_g, v, dt, m):
-    """Real-arithmetic variant for G real antisymmetric and v real.
-
-    The recurrence G v_k = beta_{k+1} v_{k+1} - beta_k v_{k-1} keeps the
-    whole computation in the reals, so exactly-real states stay real.
-    """
-    n = v.shape[0]
-    beta0 = float(np.linalg.norm(v))
-    if beta0 == 0.0:
-        return v.copy(), 0.0
-    m = min(m, n)
-    V = np.empty((m, n))
-    beta = np.zeros(m)
-    V[0] = v / beta0
-    used = m
-    beta_next = 0.0
-    for k in range(m):
-        w = apply_g(V[k])
-        if k:
-            w += beta[k] * V[k - 1]
-        proj = V[: k + 1] @ w
-        w -= V[: k + 1].T @ proj
-        b = float(np.linalg.norm(w))
-        if k + 1 < m:
-            if b <= 1e-14:
-                used = k + 1
-                break
-            beta[k + 1] = b
-            V[k + 1] = w / b
-        else:
-            beta_next = b
-    T = np.zeros((used, used))
-    if used > 1:
-        sub = beta[1:used]
-        T[np.arange(1, used), np.arange(used - 1)] = sub
-        T[np.arange(used - 1), np.arange(1, used)] = -sub
-    y = scipy.linalg.expm(dt * T)[:, 0]
-    out = beta0 * (y @ V[:used])
-    err = beta0 * beta_next * abs(dt) * abs(y[-1])
-    return out, err
-
-
-def _krylov_expm_action(bands: _Bands, v, tau, tolerance, max_substeps):
-    real_path = bands.is_real and np.all(np.asarray(v).imag == 0.0)
-    if real_path:
-        work = np.asarray(v).real.astype(float)
-        step = _lanczos_skew_step
-        apply_g = bands.apply_real
-    else:
-        work = np.asarray(v, dtype=complex)
-        step = _lanczos_herm_step
-        apply_g = bands.apply_complex
-    m = min(_KRYLOV_M, bands.n)
-    if m >= bands.n:
+def _krylov_expm_action(g, v, tau, tolerance, max_substeps):
+    """exp(tau*g) v; real for a real g and v, since exp(tau*g) is then real."""
+    real = not np.iscomplexobj(g) and not np.any(np.imag(v))
+    work = np.asarray(v, dtype=complex)
+    n = g.shape[0]
+    m = min(_KRYLOV_M, n)
+    if m >= n:
         n_sub = 1  # the Krylov space spans everything; one step is exact
     else:
-        n_sub = max(1, math.ceil(abs(tau) * bands.sup_norm() / (_KRYLOV_STEP_BUDGET * m)))
+        sup_norm = float(np.abs(g).sum(axis=1).max())
+        n_sub = max(1, math.ceil(abs(tau) * sup_norm / (_KRYLOV_STEP_BUDGET * m)))
     while True:
         if n_sub > max_substeps:
             raise PropagationError(
@@ -304,26 +214,48 @@ def _krylov_expm_action(bands: _Bands, v, tau, tolerance, max_substeps):
         w = work
         err = 0.0
         for _ in range(n_sub):
-            w, e = step(apply_g, w, dt, m)
+            w, e = _lanczos_step(g, w, dt, m)
             err += e
             if err > tolerance:
                 break
         if err <= tolerance:
-            return w
+            return w.real if real else w
         n_sub *= 2
 
 
 def _matvec(a, x):
-    """a @ x, with a real ``a`` applied to a complex x as two real columns.
+    """a @ x for a vector or a block of columns x.
 
-    numpy would otherwise copy ``a`` to complex on every product.  A real
-    ``a`` and an exactly-real x give an exactly-real result.
+    A real ``a`` meets a complex x as real columns; numpy would otherwise
+    copy ``a`` to complex on every product.  A real ``a`` and an
+    exactly-real x give an exactly-real result.
     """
     if np.iscomplexobj(a) or not np.iscomplexobj(x):
         return a @ x
     if not np.any(x.imag):
         return a @ x.real
-    return (a @ np.ascontiguousarray(x).view(float).reshape(-1, 2)).view(complex).ravel()
+    pairs = np.ascontiguousarray(x).view(float).reshape(x.shape[0], -1)
+    return (a @ pairs).view(complex).reshape(x.shape)
+
+
+def _scale_rows(d, x):
+    """d[i] * x[i] for a vector or each row of a block of columns x."""
+    return d.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+
+
+def _unit_columns(out, what):
+    """out divided by its column norms, which must be 1 within 1e-10 (a
+    non-finite column fails too)."""
+    nrm = np.linalg.norm(out, axis=0)
+    worst = np.max(np.abs(nrm - 1.0), initial=0.0)
+    if not worst <= _EVOLVE_NORM_TOL:
+        raise PropagationError(f"{what} norm deviates from 1 by {worst:.3e}")
+    return np.asarray(out, dtype=complex) / nrm
+
+
+def _spin_state(j, amplitudes) -> SpinState:
+    return SpinState(j=j, amplitudes=amplitudes,
+                     real_flag=bool(np.all(amplitudes.imag == 0.0)))
 
 
 class _TridiagonalExp:
@@ -350,9 +282,12 @@ class _TridiagonalExp:
             arr.flags.writeable = False
 
     def apply(self, t, v):
-        """exp(-i t H) v."""
-        coeff = _matvec(self.vectors.T, np.conj(self.phase) * v)
-        out = self.phase * _matvec(self.vectors, np.exp(-1j * t * self.values) * coeff)
+        """exp(-i t H) v.  An array t gives one column per t (v a vector);
+        a scalar t may act on a block of columns v."""
+        coeff = _matvec(self.vectors.T, _scale_rows(np.conj(self.phase), v))
+        waves = np.exp(-1j * np.multiply.outer(self.values, t))
+        waves = waves * coeff[:, None] if np.ndim(t) else _scale_rows(waves, coeff)
+        out = _scale_rows(self.phase, _matvec(self.vectors, waves))
         return out.real if self.is_real and not np.any(np.imag(v)) else out
 
     def matrix(self, t):
@@ -378,16 +313,55 @@ def _tridiagonal_exp(diag, upper) -> _TridiagonalExp:
                                np.asarray(upper, dtype=complex).tobytes())
 
 
-def _propagate_vector(bands: _Bands, v, tau, cfg: PropagatorConfig):
+def _propagate_vector(g, v, tau, cfg: PropagatorConfig):
+    """exp(g*tau) v by an oracle route, for a dense generator block g."""
     method = cfg.method
     if method == "auto":
-        method = "dense_expm" if bands.n <= _DENSE_DIM_LIMIT else "krylov"
+        method = "dense_expm" if g.shape[0] <= _DENSE_DIM_LIMIT else "krylov"
     if method == "dense_expm":
-        dense = bands.dense()
-        if bands.is_real and np.all(np.asarray(v).imag == 0.0):
-            return scipy.linalg.expm(dense * tau) @ np.asarray(v).real
-        return scipy.linalg.expm(dense.astype(complex) * tau) @ np.asarray(v, dtype=complex)
-    return _krylov_expm_action(bands, v, tau, cfg.tolerance, int(cfg.max_substeps))
+        return scipy.linalg.expm(g * tau) @ v
+    return _krylov_expm_action(g, v, tau, cfg.tolerance, int(cfg.max_substeps))
+
+
+def _spectral(generator: BandedOperator, cfg: PropagatorConfig) -> bool:
+    """Whether ``auto`` propagates this generator by cached eigensystems."""
+    return (cfg.method == "auto" and generator.even_offsets_only
+            and generator.hermiticity_tag == SKEW_HERMITIAN)
+
+
+def _check_spin(state: SpinState, generator: BandedOperator):
+    if generator.j != state.j:
+        raise ValueError(
+            f"generator spin {generator.j} does not match state spin {state.j}"
+        )
+
+
+def evolve_many(state: SpinState, generator: BandedOperator, taus,
+                cfg: PropagatorConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """exp(G*tau) applied to the state for every tau, as (dim, len(taus)) columns.
+
+    Under "auto" a parity-preserving skew-hermitian generator costs one
+    product per non-empty parity block, from the cached eigensystem of
+    H = iG on that block; an empty sector stays exactly zero.  The oracle
+    methods (and other generators) stack ``evolve`` columns.  Every
+    column's norm is verified to 1 within 1e-10 and divided out; a column
+    that fails, a non-finite one included, raises PropagationError.
+    """
+    _check_spin(state, generator)
+    taus = np.asarray(taus, dtype=float)
+    out = np.zeros((state.dim, len(taus)), dtype=complex)
+    if not _spectral(generator, cfg):
+        for k, tau in enumerate(taus):
+            out[:, k] = evolve(state, generator, float(tau), cfg).amplitudes
+        return out
+    v, bands, zeros = state.amplitudes, generator.bands, np.zeros(state.dim)
+    for parity in (0, 1):
+        if np.any(v[parity::2]):
+            # H = iG on this parity sector is tridiagonal: offsets 0 and 2 of G
+            exp_h = _tridiagonal_exp((1j * bands.get(0, zeros)[parity::2]).real,
+                                     1j * bands.get(2, zeros[2:])[parity::2])
+            out[parity::2] = exp_h.apply(taus, v[parity::2])
+    return _unit_columns(out, "propagated")
 
 
 def evolve(state: SpinState, generator: BandedOperator, tau,
@@ -398,60 +372,40 @@ def evolve(state: SpinState, generator: BandedOperator, tau,
     unchanged.  The output norm is re-verified to 1 within 1e-10; a
     propagation that cannot meet the configured tolerance raises
     PropagationError rather than returning a silently inaccurate state.
+    The default route is ``evolve_many`` at the single time tau.
     """
-    if generator.j != state.j:
-        raise ValueError(
-            f"generator spin {generator.j} does not match state spin {state.j}"
-        )
+    _check_spin(state, generator)
     if not math.isfinite(tau):
         raise ValueError("tau must be finite")
     if tau == 0.0:
         return state
+    if _spectral(generator, cfg):
+        return _spin_state(state.j, evolve_many(state, generator, [tau], cfg)[:, 0])
     v = state.amplitudes
-    n = state.dim
-    out = np.zeros(n, dtype=complex)
+    g = generator.to_dense()
+    g = g.real if generator.is_real else g
     if generator.even_offsets_only:
         # parity-preserving generator: the two M-parity sectors evolve
         # independently, and an empty sector stays exactly zero
-        spectral = cfg.method == "auto" and generator.hermiticity_tag == SKEW_HERMITIAN
+        out = np.zeros(state.dim, dtype=complex)
         for parity in (0, 1):
-            sub = v[parity::2]
-            if not np.any(sub != 0.0):
-                continue
-            block = {d // 2: c[parity::2] for d, c in generator.bands.items()
-                     if d % 2 == 0}
-            if spectral:
-                size = len(sub)
-                exp_h = _tridiagonal_exp((1j * block.get(0, np.zeros(size))).real,
-                                         1j * block.get(1, np.zeros(size - 1)))
-                out[parity::2] = exp_h.apply(tau, sub)
-            else:
-                out[parity::2] = _propagate_vector(_Bands(len(sub), block), sub, tau, cfg)
+            if np.any(v[parity::2]):
+                block = np.ascontiguousarray(g[parity::2, parity::2])
+                out[parity::2] = _propagate_vector(block, v[parity::2], tau, cfg)
     else:
-        out[:] = _propagate_vector(_Bands(n, generator.bands), v, tau, cfg)
-    nrm = float(np.linalg.norm(out))
-    if abs(nrm - 1.0) > _EVOLVE_NORM_TOL:
-        raise PropagationError(f"propagated norm deviates from 1 by {nrm - 1.0:.3e}")
-    out = out / nrm
-    return SpinState(j=state.j, amplitudes=out,
-                     real_flag=bool(np.all(out.imag == 0.0)))
+        out = _propagate_vector(g, v, tau, cfg)
+    return _spin_state(state.j, _unit_columns(out, "propagated"))
 
 
 def _axis_operator(j, axis) -> BandedOperator:
+    axis = _axis_key(axis)
     if isinstance(axis, str):
-        if axis not in AXIS_LABELS:
-            raise ValueError(f"rotation axis label must be one of {AXIS_LABELS}")
         return build_operator(j, "J" + axis)
-    vec = np.asarray(axis, dtype=float)
-    if vec.shape != (3,):
-        raise ValueError("rotation axis vector must have 3 components")
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
-        raise ValueError("rotation axis vector must be normalized (1e-12)")
     lad = ladder_coefficients(j)
     bands = {
-        0: vec[2] * m_values(j),
-        1: (vec[0] / 2 - 0.5j * vec[1]) * lad,
-        -1: (vec[0] / 2 + 0.5j * vec[1]) * lad,
+        0: axis[2] * m_values(j),
+        1: (axis[0] / 2 - 0.5j * axis[1]) * lad,
+        -1: (axis[0] / 2 + 0.5j * axis[1]) * lad,
     }
     return BandedOperator(j, bands, HERMITIAN)
 
@@ -473,27 +427,36 @@ def _rotation_cache(two_j, axis, angle):
 
 def _rotation_matrix(j, axis, angle):
     """Cached exp(-i * angle * J_axis); real for y-like axes."""
-    axis_key = axis if isinstance(axis, str) else tuple(float(c) for c in axis)
-    return _rotation_cache(validate_spin(j), axis_key, float(angle))
+    return _rotation_cache(validate_spin(j), _axis_key(axis), float(angle))
+
+
+def _rotate_amplitudes(j, axis, angle, amplitudes):
+    """exp(-i * angle * J_axis) on a vector or on each column of a block.
+
+    Every result column is verified to unit norm within 1e-10.
+    """
+    if not math.isfinite(angle):
+        raise ValueError("rotation angle must be finite")
+    axis = _axis_key(axis)
+    if axis == "z":
+        # Jz is diagonal here; apply the phases exactly
+        out = _scale_rows(np.exp(-1j * angle * m_values(j)), amplitudes)
+    elif spin_dimension(j) <= _ROTATION_DENSE_LIMIT:
+        out = _matvec(_rotation_matrix(j, axis, angle), amplitudes)
+    else:
+        out = _axis_exp(j, axis).apply(angle, amplitudes)
+    return _unit_columns(out, "rotated")
 
 
 def rotate(state: SpinState, axis, angle) -> SpinState:
     """Apply exp(-i * angle * J_axis); axis is "x", "y", "z" or a unit vector."""
-    if not math.isfinite(angle):
-        raise ValueError("rotation angle must be finite")
-    if axis == "z":
-        # Jz is diagonal here; apply the phases exactly
-        out = state.amplitudes * np.exp(-1j * angle * state.m_values)
-    elif state.dim <= _ROTATION_DENSE_LIMIT:
-        out = _matvec(_rotation_matrix(state.j, axis, angle), state.amplitudes)
-    else:
-        out = _axis_exp(state.j, axis).apply(angle, state.amplitudes)
-    nrm = float(np.linalg.norm(out))
-    if abs(nrm - 1.0) > _EVOLVE_NORM_TOL:
-        raise PropagationError(f"rotated norm deviates from 1 by {nrm - 1.0:.3e}")
-    out = np.asarray(out, dtype=complex) / nrm
-    return SpinState(j=state.j, amplitudes=out,
-                     real_flag=bool(np.all(out.imag == 0.0)))
+    return _spin_state(state.j, _rotate_amplitudes(state.j, axis, angle, state.amplitudes))
+
+
+@lru_cache(maxsize=_GENERATOR_CACHE_SIZE)
+def _shared_generator(j, chi, gamma) -> BandedOperator:
+    """tact_generator, built once per spin and parameters (it is immutable)."""
+    return tact_generator(j, chi=chi, gamma=gamma)
 
 
 def make_sss(j, tau=None, protocol: TwistProtocol = DEFAULT_PROTOCOL,
@@ -508,6 +471,20 @@ def make_sss(j, tau=None, protocol: TwistProtocol = DEFAULT_PROTOCOL,
     if not (tau >= 0 and math.isfinite(tau)):
         raise ValueError("tau must be nonnegative and finite")
     initial = basis_state(j, j)
-    gen = tact_generator(j, chi=protocol.chi, gamma=protocol.gamma)
+    gen = _shared_generator(float(j), protocol.chi, protocol.gamma)
     evolved = evolve(initial, gen, tau, cfg)
     return rotate(evolved, protocol.rotation_axis, protocol.rotation_angle)
+
+
+def make_sss_many(j, taus, protocol: TwistProtocol = DEFAULT_PROTOCOL,
+                  cfg: PropagatorConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """``make_sss`` at every tau, as the (2J+1, len(taus)) amplitude columns.
+
+    One ``evolve_many`` product and one rotation product for the block.
+    """
+    taus = np.asarray(taus, dtype=float)
+    if not np.all(np.isfinite(taus) & (taus >= 0)):
+        raise ValueError("tau must be nonnegative and finite")
+    gen = _shared_generator(float(j), protocol.chi, protocol.gamma)
+    evolved = evolve_many(basis_state(j, j), gen, taus, cfg)
+    return _rotate_amplitudes(j, protocol.rotation_axis, protocol.rotation_angle, evolved)

@@ -103,12 +103,14 @@ class BandedOperator:
         return all(d % 2 == 0 for d, c in self.bands.items() if np.any(c != 0))
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix-vector product using only the stored bands."""
+        """Product with a vector, or with each column of an (n, k) block,
+        using only the stored bands."""
         n = self.dim
-        if vec.shape != (n,):
+        if vec.shape[:1] != (n,) or vec.ndim > 2:
             raise ValueError(f"vector length {vec.shape} does not match dim {n}")
-        out = np.zeros(n, dtype=np.result_type(vec.dtype, *[c.dtype for c in self.bands.values()]))
+        out = np.zeros(vec.shape, dtype=np.result_type(vec.dtype, *[c.dtype for c in self.bands.values()]))
         for d, coef in self.bands.items():
+            coef = coef.reshape((-1,) + (1,) * (vec.ndim - 1))
             if d >= 0:
                 out[: n - d] += coef * vec[d:]
             else:

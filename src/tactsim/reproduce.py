@@ -146,11 +146,10 @@ def _validate_j_list(j_list):
 
 
 def run_reproduction(j_list, cfg: PropagatorConfig = DEFAULT_CONFIG,
-                     n_grid: int = 512, workers: int = 1) -> ReproductionReport:
+                     n_grid: int = 512) -> ReproductionReport:
     """Sweep, fit, compare, and check; every stage failure is recorded."""
     j_list = _validate_j_list(j_list)
-    sweep_rows = scaling_sweep(j_list, SWEEP_METRICS, cfg=cfg,
-                               n_grid=n_grid, workers=workers)
+    sweep_rows = scaling_sweep(j_list, SWEEP_METRICS, cfg=cfg, n_grid=n_grid)
     by_key = {(row.j, row.metric): row for row in sweep_rows}
 
     series = []

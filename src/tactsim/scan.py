@@ -5,12 +5,18 @@ point (the first one when the grid optimum is ambiguous within 1e-12,
 which targets the first peak rather than later revivals), and refines by
 golden-section search.  Scans are deterministic: identical specs yield
 bitwise-identical results.
+
+The grid is one block of post-rotation states (``make_sss_many``): under
+``auto`` one product with the cached eigensystem of each parity block
+and one with the cached rotation matrix, so a J costs one eigensolve
+however many taus it is scanned at; golden-section steps are one-column
+blocks.  The optimum is re-evaluated on the single-state path
+(``squeezed_state``); a relative disagreement above 1e-10 raises
+PropagationError.  The ``dense_expm``/``krylov`` oracles stay selectable.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,43 +26,51 @@ from .dynamics import (
     PropagationError,
     PropagatorConfig,
     make_sss,
+    make_sss_many,
 )
-from .observables import fidelity, spin_moments
+from .observables import column_variances, fidelity, spin_moments
 from .reference import default_tau_max
 from .states import make_ewss, make_twin_fock
 from .operators import validate_spin
 
 _GRID_TIE_TOL = 1e-12
+_CROSS_CHECK_TOL = 1e-10
 _INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
 _INV_PHI_SQ = (3 - math.sqrt(5)) / 2  # 1/phi^2
 
-# metric -> +1 maximize, -1 minimize
+
+def _fidelity_to(make_target):
+    """|<target|state>|^2, with the target built once per scan."""
+    def bind(j):
+        target = make_target(j)
+        bra = np.conj(target.amplitudes)
+        return (lambda block: np.abs(bra @ block) ** 2,
+                lambda state: fidelity(target, state))
+    return bind
+
+
+def _deviation(axis):
+    """<(dJ_axis)^2>^{1/2}, the unit the scaling laws are stated in."""
+    def bind(j):
+        return (lambda block: np.sqrt(column_variances(j, block, axis)),
+                lambda state: math.sqrt(getattr(spin_moments(state), "variance_" + axis)))
+    return bind
+
+
+# metric -> (+1 maximize or -1 minimize, evaluator).  evaluator(j) builds
+# what the metric needs at spin j once (a fidelity target) and returns the
+# metric of a (2J+1, k) block of post-rotation columns and of one state.
 METRICS = {
-    "fid_ewss": 1.0,
-    "fid_tfs": 1.0,
-    "var_z_max": 1.0,
-    "var_y_min": -1.0,
+    "fid_ewss": (1.0, _fidelity_to(make_ewss)),
+    "fid_tfs": (1.0, _fidelity_to(make_twin_fock)),
+    "var_z_max": (1.0, _deviation("z")),
+    "var_y_min": (-1.0, _deviation("y")),
 }
 
 
-@lru_cache(maxsize=4096)
-def _cached_sss(two_j, tau, chi, gamma, axis, angle, method, tolerance, max_substeps):
-    cfg = PropagatorConfig(method=method, tolerance=tolerance,
-                           max_substeps=max_substeps)
-    from .dynamics import TwistProtocol
-
-    protocol = TwistProtocol(chi=chi, gamma=gamma, rotation_axis=axis,
-                             rotation_angle=angle)
-    return make_sss(two_j / 2, tau=tau, protocol=protocol, cfg=cfg)
-
-
 def squeezed_state(j, tau, cfg: PropagatorConfig = DEFAULT_CONFIG):
-    """Cached canonical squeezed state (default protocol) at time tau."""
-    axis = DEFAULT_PROTOCOL.rotation_axis
-    return _cached_sss(validate_spin(j), float(tau), DEFAULT_PROTOCOL.chi,
-                       DEFAULT_PROTOCOL.gamma, axis,
-                       DEFAULT_PROTOCOL.rotation_angle, cfg.method,
-                       cfg.tolerance, int(cfg.max_substeps))
+    """The canonical squeezed state (default protocol) at time tau."""
+    return make_sss(j, tau, DEFAULT_PROTOCOL, cfg)
 
 
 @dataclass(frozen=True)
@@ -122,7 +136,7 @@ class ScanResult:
     def __post_init__(self):
         if not self.spec.tau_min <= self.tau_star <= self.spec.tau_max:
             raise ValueError("tau_star fell outside the scan window")
-        sign = METRICS[self.spec.metric]
+        sign = METRICS[self.spec.metric][0]
         if sign * self.value_star < np.max(sign * np.asarray(self.grid_values)) - _GRID_TIE_TOL:
             raise ValueError("refined optimum is worse than the best grid sample")
         for name in ("grid_taus", "grid_values"):
@@ -146,24 +160,6 @@ class ScanResult:
                    grid_values=np.asarray(record["grid_values"], dtype=float),
                    tau_star=float(record["tau_star"]),
                    value_star=float(record["value_star"]))
-
-
-def _metric_function(spec: ScanSpec, cfg: PropagatorConfig):
-    if spec.metric == "fid_ewss":
-        target = make_ewss(spec.j)
-        return lambda tau: fidelity(target, squeezed_state(spec.j, tau, cfg))
-    if spec.metric == "fid_tfs":
-        target = make_twin_fock(spec.j)
-        return lambda tau: fidelity(target, squeezed_state(spec.j, tau, cfg))
-    if spec.metric == "var_z_max":
-        return lambda tau: math.sqrt(
-            spin_moments(squeezed_state(spec.j, tau, cfg)).variance_z
-        )
-    if spec.metric == "var_y_min":
-        return lambda tau: math.sqrt(
-            spin_moments(squeezed_state(spec.j, tau, cfg)).variance_y
-        )
-    raise ValueError(f"unknown metric {spec.metric!r}")
 
 
 def _golden_section(f, lo, hi, tol, sign):
@@ -193,10 +189,17 @@ def _golden_section(f, lo, hi, tol, sign):
 
 def scan_tau(spec: ScanSpec, cfg: PropagatorConfig = DEFAULT_CONFIG) -> ScanResult:
     """Coarse grid plus golden-section refinement of one metric."""
-    f = _metric_function(spec, cfg)
-    sign = METRICS[spec.metric]
+    sign, evaluator = METRICS[spec.metric]
+    on_block, on_state = evaluator(spec.j)
+
+    def grid_values(taus):
+        return on_block(make_sss_many(spec.j, taus, DEFAULT_PROTOCOL, cfg))
+
+    def f(tau):
+        return float(grid_values([tau])[0])
+
     taus = np.linspace(spec.tau_min, spec.tau_max, spec.n_grid)
-    values = np.array([f(t) for t in taus])
+    values = grid_values(taus)
     signed = sign * values
     best = float(signed.max())
     idx = int(np.nonzero(signed >= best - _GRID_TIE_TOL)[0][0])
@@ -209,6 +212,11 @@ def scan_tau(spec: ScanSpec, cfg: PropagatorConfig = DEFAULT_CONFIG) -> ScanResu
         tau_star, value_star = float(tau_ref), float(val_ref)
     else:
         tau_star, value_star = float(taus[idx]), float(values[idx])
+    check = on_state(squeezed_state(spec.j, tau_star, cfg))
+    if not abs(check - value_star) <= _CROSS_CHECK_TOL * max(abs(check), abs(value_star)):
+        raise PropagationError(
+            f"{spec.metric} at tau={tau_star!r}: grid path gives {value_star!r}, "
+            f"single-state path {check!r}")
     return ScanResult(spec=spec, grid_taus=taus, grid_values=values,
                       tau_star=tau_star, value_star=value_star)
 
@@ -253,23 +261,15 @@ def _run_row(j, metric, cfg, n_grid) -> SweepRow:
 
 
 def scaling_sweep(j_list, metrics, cfg: PropagatorConfig = DEFAULT_CONFIG,
-                  n_grid: int = 512, workers: int = 1):
+                  n_grid: int = 512):
     """Run scan_tau for every (j, metric) pair, in input order.
 
     Rows either complete or are explicitly marked failed: a ValueError or
     PropagationError becomes a failed row with the exception type in
-    ``error``, and any other exception propagates to the caller.  With
-    workers > 1 the rows run on a thread pool; aggregation order stays
-    fixed by the input order.
+    ``error``, and any other exception propagates to the caller.
     """
     j_list = list(j_list)
     metrics = list(metrics)
     if not j_list or not metrics:
         raise ValueError("j_list and metrics must be nonempty")
-    pairs = [(j, m) for j in j_list for m in metrics]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda jm: _run_row(*jm, cfg, n_grid), pairs))
-    else:
-        rows = [_run_row(j, m, cfg, n_grid) for j, m in pairs]
-    return rows
+    return [_run_row(j, m, cfg, n_grid) for j in j_list for m in metrics]

@@ -12,7 +12,9 @@ from tactsim.dynamics import (
     _axis_operator,
     _rotation_matrix,
     evolve,
+    evolve_many,
     make_sss,
+    make_sss_many,
     rotate,
     tact_generator,
 )
@@ -88,6 +90,11 @@ class TestEvolve:
         g = tact_generator(j)
         out = evolve(basis_state(j, j), g, 0.8 * default_tau_max(j))
         assert np.all(out.amplitudes[1::2] == 0.0)
+
+    def test_krylov_keeps_real_states_real(self):
+        # block dimension 51 exceeds the Krylov space, so substeps are taken
+        out = evolve(basis_state(100, 100), tact_generator(100), 0.02, KRYLOV)
+        assert out.real_flag
 
     def test_reality_preserved_at_gamma_zero(self):
         out = evolve(basis_state(20, 20), tact_generator(20), 0.05)
@@ -174,7 +181,69 @@ class TestSpectralDefault:
                 assert np.all(out[1 - parity::2] == 0.0)
 
 
+class TestEvolveMany:
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    @pytest.mark.parametrize("j", [0.5, 1, 5.5, 50])
+    def test_columns_match_repeated_evolve(self, j, gamma):
+        g = tact_generator(j, gamma=gamma)
+        taus = np.linspace(0, default_tau_max(j), 9)
+        for start in (basis_state(j, j), make_css(j, CoherentSpinParams(0.3, 1.2))):
+            block = evolve_many(start, g, taus)
+            assert block.shape == (start.dim, len(taus))
+            for k, tau in enumerate(taus):
+                assert np.max(np.abs(block[:, k] - evolve(start, g, tau).amplitudes)) <= 1e-12
+
+    @pytest.mark.parametrize("cfg", [DENSE, KRYLOV], ids=["dense", "krylov"])
+    def test_oracles_stack_evolve_columns(self, cfg):
+        g = tact_generator(5, gamma=0.3)
+        block = evolve_many(basis_state(5, 5), g, [0.05, 0.2], cfg)
+        for k, tau in enumerate([0.05, 0.2]):
+            assert np.array_equal(block[:, k], evolve(basis_state(5, 5), g, tau, cfg).amplitudes)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_non_finite_tau_fails_the_norm_check(self, tau):
+        with pytest.raises(PropagationError, match="norm"):
+            evolve_many(basis_state(10, 10), tact_generator(10), [0.1, tau])
+
+    def test_mismatched_spin_rejected(self):
+        with pytest.raises(ValueError, match="does not match"):
+            evolve_many(basis_state(1, 1), tact_generator(2), [0.1])
+
+    def test_sss_columns_match_make_sss(self):
+        taus = np.linspace(0, default_tau_max(20), 5)
+        block = make_sss_many(20, taus)
+        for k, tau in enumerate(taus):
+            assert np.max(np.abs(block[:, k] - make_sss(20, tau).amplitudes)) <= 1e-12
+        with pytest.raises(ValueError, match="nonnegative"):
+            make_sss_many(20, [0.1, -0.1])
+
+    def test_generator_built_once_per_spin(self, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return tact_generator(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "tact_generator", counted)
+        dynamics._shared_generator.cache_clear()
+        for tau in (0.01, 0.02, 0.03):
+            make_sss(7, tau)
+        make_sss_many(7, [0.04, 0.05])
+        assert len(built) == 1
+
+
 class TestRotate:
+    @pytest.mark.parametrize("make_axis", [np.array, list, tuple])
+    def test_axis_sequence_types_agree(self, make_axis):
+        s = make_css(6, CoherentSpinParams(alpha=0.2, beta=0.9))
+        expect = rotate(s, (0.0, 0.6, 0.8), 0.5).amplitudes
+        assert np.array_equal(rotate(s, make_axis([0.0, 0.6, 0.8]), 0.5).amplitudes, expect)
+
+    def test_non_unit_array_axis_rejected(self):
+        with pytest.raises(ValueError, match="normalized"):
+            rotate(basis_state(2, 2), np.array([0.0, 2.0, 0.0]), 0.5)
+
+
     def test_z_rotation_is_global_phase_on_highest_weight(self):
         s = basis_state(4, 4)
         out = rotate(s, "z", 0.77)

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from tactsim import scan
+from tactsim import dynamics, scan
+from tactsim.dynamics import PropagationError, PropagatorConfig, make_sss
+from tactsim.observables import fidelity, spin_moments
 from tactsim.reference import default_tau_max, reference_value
 from tactsim.scan import ScanSpec, scan_tau, scaling_sweep
+from tactsim.states import make_ewss, make_twin_fock
 
 
 def test_j1_max_fluctuation_at_quarter_pi():
@@ -98,14 +101,6 @@ def test_sweep_reraises_programming_errors(monkeypatch):
         scaling_sweep([3], ["fid_ewss"], n_grid=64)
 
 
-def test_sweep_parallel_matches_serial():
-    serial = scaling_sweep([3, 4], ["fid_ewss"], n_grid=64, workers=1)
-    parallel = scaling_sweep([3, 4], ["fid_ewss"], n_grid=64, workers=2)
-    for a, b in zip(serial, parallel):
-        assert a.tau_star == b.tau_star
-        assert a.value_star == b.value_star
-
-
 def test_maximal_fidelity_decreases_with_j(scan_cache):
     values = [scan_cache(j, "fid_tfs").value_star for j in (10, 20, 50)]
     assert 1.0 > values[0] > values[1] > values[2]
@@ -120,3 +115,55 @@ def test_sweep_j1_reproduces_closed_form():
 def test_j50_max_fluctuation_matches_reference(scan_cache):
     got = scan_cache(50, "var_z_max").value_star
     assert got == pytest.approx(0.799 * (50 + 0.453), rel=0.02)
+
+
+# Each metric evaluated one state at a time, independently of scan.METRICS.
+PER_STATE = {
+    "fid_ewss": lambda j, s: fidelity(make_ewss(j), s),
+    "fid_tfs": lambda j, s: fidelity(make_twin_fock(j), s),
+    "var_z_max": lambda j, s: math.sqrt(spin_moments(s).variance_z),
+    "var_y_min": lambda j, s: math.sqrt(spin_moments(s).variance_y),
+}
+
+
+@pytest.mark.parametrize("j,metric", [
+    (j, metric) for j in (0.5, 1, 3, 10, 50) for metric in sorted(PER_STATE)
+    if not (metric == "fid_tfs" and j == 0.5)])  # twin-Fock needs integer J
+def test_grid_values_match_per_state_path(j, metric):
+    res = scan_tau(ScanSpec.auto(j, metric, n_grid=64))
+    expect = [PER_STATE[metric](j, make_sss(j, tau)) for tau in res.grid_taus]
+    np.testing.assert_allclose(res.grid_values, expect, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("method", ["dense_expm", "krylov"])
+@pytest.mark.parametrize("metric", sorted(PER_STATE))
+def test_oracle_methods_find_the_same_optimum(metric, method):
+    spec = ScanSpec.auto(10, metric, n_grid=128)
+    auto = scan_tau(spec)
+    oracle = scan_tau(spec, PropagatorConfig(method))
+    assert abs(oracle.tau_star - auto.tau_star) <= spec.refine_tol
+    np.testing.assert_allclose(oracle.grid_values, auto.grid_values, rtol=1e-9)
+
+
+def test_scan_takes_one_eigensolve_and_no_per_tau_propagation(monkeypatch):
+    dynamics._cached_eigensystem.cache_clear()
+    dynamics._rotation_matrix(50, "y", math.pi / 2)  # the protocol rotation, warm
+    before = dynamics._cached_eigensystem.cache_info().misses
+    taus = []
+    evolve = dynamics.evolve
+
+    def counted(state, generator, tau, *args):
+        taus.append(tau)
+        return evolve(state, generator, tau, *args)
+
+    monkeypatch.setattr(dynamics, "evolve", counted)
+    res = scan_tau(ScanSpec.auto(50, "var_z_max"))
+    assert dynamics._cached_eigensystem.cache_info().misses - before <= 1
+    assert taus == [res.tau_star]  # the single-state cross-check only
+
+
+def test_optimum_disagreeing_with_single_state_path_raises(monkeypatch):
+    monkeypatch.setattr(scan, "squeezed_state",
+                        lambda j, tau, cfg: make_sss(j, 1.01 * tau, cfg=cfg))
+    with pytest.raises(PropagationError, match="single-state"):
+        scan_tau(ScanSpec.auto(10, "fid_tfs", n_grid=64))
