@@ -291,11 +291,21 @@ class _TridiagonalExp:
         return out.real if self.is_real and not np.any(np.imag(v)) else out
 
     def matrix(self, t):
-        """exp(-i t H) as a dense matrix (real when H is purely imaginary)."""
-        vec, lam = self.vectors, self.values
-        core = (vec * np.cos(t * lam)) @ vec.T - 1j * ((vec * np.sin(t * lam)) @ vec.T)
-        mat = self.phase[:, None] * core * np.conj(self.phase)
-        return mat.real.copy() if self.is_real else mat  # copy: drop the complex buffer
+        """exp(-i t H) = P (V cos V^T - i V sin V^T) P* as a dense matrix.  For a
+        purely imaginary H the phases are (+-i)^k and the result is real: the cos
+        part on even j-k, the sin part on odd j-k, from three half-size products."""
+        vec, phase = self.vectors, self.phase
+        cos, sin = np.cos(t * self.values), np.sin(t * self.values)
+        if not self.is_real:
+            core = (vec * cos) @ vec.T - 1j * ((vec * sin) @ vec.T)
+            return phase[:, None] * core * np.conj(phase)
+        even, odd, pe, po = vec[0::2], vec[1::2], phase[0::2], phase[1::2]
+        mat = np.empty((len(phase), len(phase)))
+        mat[0::2, 0::2] = (pe[:, None] * np.conj(pe)).real * ((even * cos) @ even.T)
+        mat[1::2, 1::2] = (po[:, None] * np.conj(po)).real * ((odd * cos) @ odd.T)
+        mat[0::2, 1::2] = (pe[:, None] * np.conj(po)).imag * ((even * sin) @ odd.T)
+        mat[1::2, 0::2] = -mat[0::2, 1::2].T
+        return mat
 
 
 @lru_cache(maxsize=_EIGEN_CACHE_SIZE)

@@ -165,12 +165,25 @@ class _FamilySpec:
     evaluate: callable
     jacobian: callable
     auto_init: callable
+    limit: callable  # (*params) -> value at J = inf
+    domain_error: callable  # (j, *params) -> message when j is outside the domain, else None
 
 
 _FAMILIES = {
-    "sq_power_offset": _FamilySpec(("a", "b", "c"), _sqpo_eval, _sqpo_jac, _sqpo_init),
-    "shifted_power": _FamilySpec(("a", "b", "c"), _shp_eval, _shp_jac, _shp_init),
-    "log_over_linear": _FamilySpec(("a", "b"), _lol_eval, _lol_jac, _lol_init),
+    "sq_power_offset": _FamilySpec(
+        ("a", "b", "c"), _sqpo_eval, _sqpo_jac, _sqpo_init,
+        limit=lambda a, b, c: c**2 if b > 0 else (a + c) ** 2 if b == 0 else math.inf,
+        domain_error=lambda j, a, b, c: None if j > 0 else "sq_power_offset requires j > 0"),
+    "shifted_power": _FamilySpec(
+        ("a", "b", "c"), _shp_eval, _shp_jac, _shp_init,
+        limit=lambda a, b, c: math.copysign(math.inf, a) if c > 0 else a if c == 0 else 0.0,
+        domain_error=lambda j, a, b, c: None if j + b > 0
+        else f"shifted_power requires j + b > 0, got j={j}, b={b}"),
+    "log_over_linear": _FamilySpec(
+        ("a", "b"), _lol_eval, _lol_jac, _lol_init,
+        limit=lambda a, b: 0.0,
+        domain_error=lambda j, a, b: None if a * j > 0
+        else f"log_over_linear requires a*j > 0, got a={a}, j={j}"),
 }
 
 FAMILY_NAMES = tuple(_FAMILIES)
@@ -185,35 +198,13 @@ def _family_spec(family: str) -> _FamilySpec:
 
 def evaluate(model: FitModel, j) -> float:
     """Closed-form model value at j; j may be math.inf for the limit."""
-    p = model.params
-    if model.family == "sq_power_offset":
-        a, b, c = p
-        if math.isinf(j):
-            if b > 0:
-                return c**2
-            if b == 0:
-                return (a + c) ** 2
-            return math.inf
-        if j <= 0:
-            raise ValueError("sq_power_offset requires j > 0")
-        return float((a / j**b + c) ** 2)
-    if model.family == "shifted_power":
-        a, b, c = p
-        if math.isinf(j):
-            if c > 0:
-                return math.copysign(math.inf, a)
-            return a if c == 0 else 0.0
-        if j + b <= 0:
-            raise ValueError(f"shifted_power requires j + b > 0, got j={j}, b={b}")
-        return float(a * (j + b) ** c)
-    if model.family == "log_over_linear":
-        a, b = p
-        if math.isinf(j):
-            return 0.0
-        if a * j <= 0:
-            raise ValueError(f"log_over_linear requires a*j > 0, got a={a}, j={j}")
-        return float(math.log(a * j) / (b * j))
-    raise ValueError(f"unknown model family {model.family!r}")
+    spec = _family_spec(model.family)
+    if math.isinf(j):
+        return spec.limit(*model.params)
+    problem = spec.domain_error(j, *model.params)
+    if problem:
+        raise ValueError(problem)
+    return float(spec.evaluate(j, model.params))
 
 
 def _prepare_data(data):

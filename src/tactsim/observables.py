@@ -7,6 +7,7 @@ field-estimation bounds derived from them.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -135,19 +136,31 @@ class QpdGrid:
                 yield float(phi), float(theta), float(self.values[ip, it])
 
 
+@lru_cache(maxsize=8)
+def _css_table(two_j, n_theta):
+    """css_magnitudes of spin two_j/2 on the QPD theta grid, shared read-only."""
+    mags = css_magnitudes(two_j / 2, np.linspace(0.0, math.pi, n_theta))
+    mags.flags.writeable = False
+    return mags
+
+
 def qpd(state: SpinState, n_phi: int = 360, n_theta: int = 180) -> QpdGrid:
     """Quasi-probability distribution of the state over the Bloch sphere.
 
     The overlap with CSS(phi, theta) is a polynomial in e^{-i phi} with
     theta-dependent coefficients, so each theta column is evaluated for
-    all phi at once with an FFT (after folding indices modulo n_phi).
+    all phi at once with an FFT (after folding indices modulo n_phi).  The
+    coherent-state magnitudes are cached per (J, n_theta).
     """
+    for name, size in (("n_phi", n_phi), ("n_theta", n_theta)):
+        if not isinstance(size, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {size!r}")
     if n_phi < 2 or n_theta < 2:
         raise ValueError("grid resolutions must be at least 2")
     n = spin_dimension(state.j)
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = 2 * math.pi * np.arange(n_phi) / n_phi
-    mags = css_magnitudes(state.j, thetas)  # (n, n_theta)
+    mags = _css_table(validate_spin(state.j), n_theta)  # (n, n_theta)
     weighted = mags * state.amplitudes[:, None]
     if n <= n_phi:
         folded = weighted
@@ -186,8 +199,8 @@ class FisherBound:
 
 def fisher_bound(variance_z, params: FieldEstimationParams) -> FisherBound:
     """fisher_upper = 4 (gamma_s t)^2 <(dJz)^2>; sigma_lower = fisher_upper^{-1/2}."""
-    if variance_z < 0:
-        raise ValueError("variance must be nonnegative")
+    if not (math.isfinite(variance_z) and variance_z >= 0):
+        raise ValueError("variance must be finite and nonnegative")
     fisher = 4.0 * (params.gamma_s * params.t) ** 2 * variance_z
     sigma = math.inf if fisher == 0.0 else 1.0 / math.sqrt(fisher)
     return FisherBound(fisher_upper=fisher, sigma_lower=sigma)

@@ -1,8 +1,8 @@
 """Pure collective-spin states and the special-state factories.
 
 States live in the |J,M> basis ordered by descending M (index 0 <-> M=J).
-Coherent-state coefficients are evaluated in log space so that spins up to
-J ~ 1000 (binomials like C(2000,1000)) do not overflow.
+Coherent-state and twin-Fock amplitudes are closed forms evaluated in log
+space, so spins up to J ~ 1000 (binomials like C(2000,1000)) do not overflow.
 """
 
 import math
@@ -160,13 +160,18 @@ def make_ewss(j) -> SpinState:
 
 
 def make_twin_fock(j) -> SpinState:
-    """|J,0> rotated by pi/2 about x; requires an M=0 level."""
-    validate_spin(j)
-    if abs(j - round(j)) > 1e-9:
+    """|J,0> rotated by pi/2 about x (integer J), from the closed form of the Wigner
+    d^J_{M0}(pi/2) in log space: (-i)^J sqrt((J+M)!(J-M)!) / (2^J ((J+M)/2)!
+    ((J-M)/2)!) for even J-M, and exactly zero for odd J-M."""
+    two_j = validate_spin(j)
+    if two_j % 2:
         raise ValueError("twin-Fock requires integer J")
-    from .dynamics import rotate  # deferred: dynamics depends on states
-
-    return rotate(basis_state(j, 0), "x", math.pi / 2)
+    k = np.arange(0, two_j + 1, 2.0)  # k = J - M over the even sector
+    log_amp = (0.5 * (gammaln(two_j - k + 1) + gammaln(k + 1)) - two_j / 2 * math.log(2)
+               - gammaln((two_j - k) / 2 + 1) - gammaln(k / 2 + 1))
+    amps = np.zeros(two_j + 1, dtype=complex)
+    amps[::2] = (1, -1j, -1, 1j)[two_j // 2 % 4] * np.exp(log_amp)  # (-i)^J, exactly
+    return _normalized(j, amps, real_flag=two_j % 4 == 0)
 
 
 def make_cat(j) -> SpinState:

@@ -145,7 +145,7 @@ class TestSpectralDefault:
             dense = evolve(s, g, tau, DENSE).amplitudes
             assert np.max(np.abs(auto - dense)) <= 1e-12
 
-    @pytest.mark.parametrize("axis", ["x", "y", (0.48, 0.6, 0.64)])
+    @pytest.mark.parametrize("axis", ["x", "y", (0.48, 0.6, 0.64), (0.0, -1.0, 0.0)])
     @pytest.mark.parametrize("j", [0.5, 1, 7.5, 50])
     def test_rotation_matrix_matches_expm(self, j, axis):
         for angle in (0.4, math.pi / 2, 2.9):
@@ -164,6 +164,11 @@ class TestSpectralDefault:
     def test_y_rotation_matrix_is_real(self):
         assert not np.iscomplexobj(_rotation_matrix(20, "y", 0.7))
         assert not np.iscomplexobj(_rotation_matrix(20, (0.0, -1.0, 0.0), 0.7))
+
+    def test_large_y_rotation_matrix_is_real_orthogonal(self):
+        mat = _rotation_matrix(400, "y", math.pi / 2)
+        assert mat.dtype == np.float64
+        assert np.max(np.abs(mat @ mat.T - np.eye(801))) <= 1e-12
 
     @pytest.mark.parametrize("j", [3, 50, 100])
     def test_real_flag_survives_evolve_and_y_rotation(self, j):

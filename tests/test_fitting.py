@@ -104,6 +104,27 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="j > 0"):
             evaluate(FitModel("sq_power_offset", (1.0, 1.0, 0.5)), 0.0)
 
+    @pytest.mark.parametrize("family, params, expected", [
+        ("sq_power_offset", (2.0, 0.5, 3.0), 9.0),
+        ("sq_power_offset", (2.0, 0.0, 3.0), 25.0),
+        ("sq_power_offset", (2.0, -0.5, 3.0), math.inf),
+        ("shifted_power", (2.0, 1.0, 0.5), math.inf),
+        ("shifted_power", (-2.0, 1.0, 0.5), -math.inf),
+        ("shifted_power", (2.0, 1.0, 0.0), 2.0),
+        ("shifted_power", (2.0, 1.0, -0.5), 0.0),
+        ("log_over_linear", (2.0, 3.0), 0.0),
+    ])
+    def test_every_limit_branch(self, family, params, expected):
+        assert evaluate(FitModel(family, params), math.inf) == expected
+
+    def test_domain_boundaries(self):
+        assert evaluate(FitModel("sq_power_offset", (2.0, 1.0, 3.0)), 4) == 12.25
+        assert evaluate(FitModel("shifted_power", (1.0, -10.0, 0.5)), 10.25) == 0.5
+        with pytest.raises(ValueError, match="got j=10, b=-10.0"):
+            evaluate(FitModel("shifted_power", (1.0, -10.0, 0.5)), 10)
+        with pytest.raises(ValueError, match="got a=0.0, j=5"):
+            evaluate(FitModel("log_over_linear", (0.0, 1.0)), 5)
+
 
 class TestValidation:
     def test_needs_three_points(self):

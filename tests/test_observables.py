@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tactsim import observables
 from tactsim.dynamics import make_sss
 from tactsim.observables import (
     FieldEstimationParams,
@@ -112,6 +113,40 @@ class TestQpd:
         with pytest.raises(ValueError, match="at least 2"):
             qpd(make_ewss(1), n_phi=1, n_theta=8)
 
+    @pytest.mark.parametrize("kwargs, name", [({"n_phi": 4.0}, "n_phi"),
+                                              ({"n_theta": 9.0}, "n_theta")])
+    def test_grid_resolution_must_be_integer(self, kwargs, name):
+        # J=10 has 21 levels > n_phi=4: the folded branch, which needs integers
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            qpd(make_sss(10, 0.1), **kwargs)
+
+    @pytest.mark.parametrize("j, n_phi", [(10, 48), (30, 16)])  # plain and folded
+    def test_cached_table_matches_fresh_magnitudes(self, monkeypatch, j, n_phi):
+        state = make_sss(j, 0.05)
+        cached = qpd(state, n_phi=n_phi, n_theta=24)
+        assert np.array_equal(qpd(state, n_phi=n_phi, n_theta=24).values, cached.values)
+        monkeypatch.setattr(observables, "_css_table",
+                            lambda two_j, n_theta: css_magnitudes(j, cached.thetas))
+        fresh = qpd(state, n_phi=n_phi, n_theta=24)
+        assert np.array_equal(fresh.values, cached.values)
+
+    def test_table_built_once_through_module_global_and_read_only(self, monkeypatch):
+        calls = []
+
+        def counting(j, beta):
+            calls.append(j)
+            return css_magnitudes(j, beta)
+
+        monkeypatch.setattr(observables, "css_magnitudes", counting)
+        observables._css_table.cache_clear()
+        for _ in range(3):
+            qpd(make_ewss(3), n_phi=8, n_theta=7)
+        assert calls == [3.0]
+        table = observables._css_table(6, 7)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
     def test_grid_invariants(self):
         with pytest.raises(ValueError, match="match"):
             QpdGrid(j=1, phis=np.zeros(3), thetas=np.zeros(4), values=np.zeros((4, 3)))
@@ -166,6 +201,11 @@ class TestFisherBound:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             fisher_bound(-1.0, FieldEstimationParams(gamma_s=1.0, t=1.0))
+
+    @pytest.mark.parametrize("variance", [math.nan, math.inf])
+    def test_non_finite_variance_rejected(self, variance):
+        with pytest.raises(ValueError, match="variance must be finite and nonnegative"):
+            fisher_bound(variance, FieldEstimationParams(gamma_s=1.0, t=1.0))
 
     def test_sigma_scales_inverse_sqrt(self):
         p = FieldEstimationParams(gamma_s=0.7, t=1.3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from tactsim.dynamics import rotate
 from tactsim.observables import prob_distribution, spin_moments
 from tactsim.operators import build_operator
 from tactsim.states import (
@@ -83,8 +84,17 @@ class TestSpecialStates:
             assert np.allclose(p, p[::-1], atol=1e-14)
 
     def test_twin_fock_needs_integer_spin(self):
-        with pytest.raises(ValueError, match="twin-Fock requires integer J"):
-            make_twin_fock(0.5)
+        for j in (0.5, 1.5, 7.5):
+            with pytest.raises(ValueError, match="twin-Fock requires integer J"):
+                make_twin_fock(j)
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 10, 50, 200, 400])
+    def test_twin_fock_closed_form_matches_x_rotation(self, j):
+        got = make_twin_fock(j)
+        oracle = rotate(basis_state(j, 0), "x", math.pi / 2).amplitudes
+        assert np.max(np.abs(got.amplitudes - oracle)) <= 1e-12
+        assert np.all(got.amplitudes[1::2] == 0)  # odd J-M: exactly empty
+        assert got.real_flag == (j % 2 == 0)  # the global phase is (-i)^J
 
     def test_cat_small(self):
         assert np.allclose(make_cat(1).amplitudes.real,
