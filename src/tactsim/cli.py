@@ -96,10 +96,14 @@ pass_settings = click.make_pass_decorator(_Settings)
 _METHOD_OPTION = click.option(
     "--method", type=click.Choice(["auto", "dense_expm", "krylov"]), default=None,
     help="Propagator. auto (default): one cached tridiagonal eigensolve per "
-         "parity block; dense_expm and krylov are the cross-check oracles.")
+         "parity block, for parity-preserving skew-hermitian generators only; "
+         "dense_expm and krylov are the cross-check oracles.")
 _TOL_OPTION = click.option(
     "--tol", type=float, default=None,
     help="Krylov error tolerance (binds only --method krylov).")
+_OUT_OPTION = click.option("--out", type=click.Path(file_okay=False), default=None)
+_FORMAT_OPTION = click.option("--format", "fmt", type=click.Choice(["json", "csv", "both"]),
+                              default=None)
 
 
 @click.group()
@@ -169,9 +173,8 @@ def _fail(exc):
 @click.option("--gamma", type=float, default=0.0, show_default=True)
 @_METHOD_OPTION
 @_TOL_OPTION
-@click.option("--out", type=click.Path(file_okay=False), default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "both"]),
-              default=None)
+@_OUT_OPTION
+@_FORMAT_OPTION
 @pass_settings
 def state(settings, kind, j, alpha, beta, tau, chi, gamma, method, tol, out, fmt):
     """Construct a named state; write its JSON record and P(M) CSV."""
@@ -199,7 +202,7 @@ def state(settings, kind, j, alpha, beta, tau, chi, gamma, method, tol, out, fmt
 @click.option("--grid", default=None, help="Resolution as NPHIxNTHETA.")
 @_METHOD_OPTION
 @_TOL_OPTION
-@click.option("--out", type=click.Path(file_okay=False), default=None)
+@_OUT_OPTION
 @pass_settings
 def qpd_cmd(settings, j, kind, tau, alpha, beta, chi, gamma, grid, method, tol, out):
     """Quasi-probability distribution of a state on the Bloch sphere."""
@@ -236,9 +239,8 @@ def qpd_cmd(settings, j, kind, tau, alpha, beta, chi, gamma, grid, method, tol, 
 @click.option("--gamma", type=float, default=0.0, show_default=True)
 @_METHOD_OPTION
 @_TOL_OPTION
-@click.option("--out", type=click.Path(file_okay=False), default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "both"]),
-              default=None)
+@_OUT_OPTION
+@_FORMAT_OPTION
 @pass_settings
 def evolve_cmd(settings, j, tau, chi, gamma, method, tol, out, fmt):
     """Evolve |J,J> under the twisting generator (no final rotation)."""
@@ -264,7 +266,7 @@ def evolve_cmd(settings, j, tau, chi, gamma, method, tol, out, fmt):
 @click.option("--refine-tol", type=float, default=None)
 @_METHOD_OPTION
 @_TOL_OPTION
-@click.option("--out", type=click.Path(file_okay=False), default=None)
+@_OUT_OPTION
 @pass_settings
 def scan_cmd(settings, j, metric, tau_min, tau_max, grid, refine_tol,
              method, tol, out):
@@ -330,7 +332,7 @@ def _read_pairs(path):
 @click.option("--data", "data_path", type=click.Path(exists=True, dir_okay=False),
               required=True, help="CSV with two columns: J, value.")
 @click.option("--init", default=None, help="Comma-separated initial parameters.")
-@click.option("--out", type=click.Path(file_okay=False), default=None)
+@_OUT_OPTION
 @pass_settings
 def fit_cmd(settings, family, data_path, init, out):
     """Fit one scaling-law family to (J, value) pairs from a CSV file."""
@@ -353,7 +355,7 @@ def fit_cmd(settings, family, data_path, init, out):
 @click.option("--grid", type=int, default=None, help="Coarse grid size.")
 @_METHOD_OPTION
 @_TOL_OPTION
-@click.option("--out", type=click.Path(file_okay=False), default=None)
+@_OUT_OPTION
 @pass_settings
 def reproduce_cmd(settings, j_list, grid, method, tol, out):
     """Run the full sweep-and-fit pipeline and compare against the

@@ -14,8 +14,8 @@ unit-vector J_n.  The default route exploits this:
   and ``scipy.linalg.eigh_tridiagonal``; then
   exp(-i t H) v = P V (exp(-i lam t) * V^T P* v) for every t at
   round-off accuracy; ``evolve_many`` takes a whole vector of t in one
-  product.  Other generators use dense scaling-and-squaring up to
-  dimension 64 and the Krylov route above.
+  product.  ``auto`` takes no other generator: it raises ValueError and
+  names the oracles below, which take any generator.
 
 Two independent routes stay selectable as oracles and are cross-checked
 against ``auto`` by the tests:
@@ -50,7 +50,6 @@ from .operators import (
 )
 from .states import SpinState, basis_state
 
-_DENSE_DIM_LIMIT = 64
 _ROTATION_DENSE_LIMIT = 2048
 _KRYLOV_M = 40
 _KRYLOV_STEP_BUDGET = 0.3  # target ||G||*dt per substep, in units of m
@@ -111,10 +110,9 @@ class PropagatorConfig:
     """How to apply the matrix exponential.
 
     method "auto" applies the cached tridiagonal eigendecomposition to each
-    parity block of a parity-preserving skew-hermitian generator (for other
-    generators: dense scaling-and-squaring up to dimension 64, Krylov
-    above).  "dense_expm" and "krylov" force one of the oracle routes;
-    tolerance and max_substeps bind only "krylov".
+    parity block of a parity-preserving skew-hermitian generator, and
+    rejects any other generator.  "dense_expm" and "krylov" are the oracle
+    routes, for any generator; tolerance and max_substeps bind only "krylov".
     """
 
     method: str = "auto"
@@ -324,87 +322,72 @@ def _tridiagonal_exp(diag, upper) -> _TridiagonalExp:
 
 
 def _propagate_vector(g, v, tau, cfg: PropagatorConfig):
-    """exp(g*tau) v by an oracle route, for a dense generator block g."""
-    method = cfg.method
-    if method == "auto":
-        method = "dense_expm" if g.shape[0] <= _DENSE_DIM_LIMIT else "krylov"
-    if method == "dense_expm":
+    """exp(g*tau) v by the configured oracle route, for a dense generator block g."""
+    if cfg.method == "dense_expm":
         return scipy.linalg.expm(g * tau) @ v
     return _krylov_expm_action(g, v, tau, cfg.tolerance, int(cfg.max_substeps))
-
-
-def _spectral(generator: BandedOperator, cfg: PropagatorConfig) -> bool:
-    """Whether ``auto`` propagates this generator by cached eigensystems."""
-    return (cfg.method == "auto" and generator.even_offsets_only
-            and generator.hermiticity_tag == SKEW_HERMITIAN)
-
-
-def _check_spin(state: SpinState, generator: BandedOperator):
-    if generator.j != state.j:
-        raise ValueError(
-            f"generator spin {generator.j} does not match state spin {state.j}"
-        )
 
 
 def evolve_many(state: SpinState, generator: BandedOperator, taus,
                 cfg: PropagatorConfig = DEFAULT_CONFIG) -> np.ndarray:
     """exp(G*tau) applied to the state for every tau, as (dim, len(taus)) columns.
 
-    Under "auto" a parity-preserving skew-hermitian generator costs one
-    product per non-empty parity block, from the cached eigensystem of
-    H = iG on that block; an empty sector stays exactly zero.  The oracle
-    methods (and other generators) stack ``evolve`` columns.  Every
-    column's norm is verified to 1 within 1e-10 and divided out; a column
-    that fails, a non-finite one included, raises PropagationError.
+    The generator must act on the same spin J and every tau must be finite.
+    A parity-preserving generator propagates each M-parity sector on its
+    own, so an empty sector stays exactly zero.  Under "auto" the generator
+    must also be skew-hermitian, and each non-empty sector costs one product
+    with the cached eigensystem of H = iG there; the oracle methods
+    propagate each tau separately.  Every column's norm is verified to 1
+    within 1e-10 and divided out; a column that fails raises
+    PropagationError rather than returning a silently inaccurate state.
     """
-    _check_spin(state, generator)
+    if generator.j != state.j:
+        raise ValueError(
+            f"generator spin {generator.j} does not match state spin {state.j}"
+        )
     taus = np.asarray(taus, dtype=float)
-    out = np.zeros((state.dim, len(taus)), dtype=complex)
-    if not _spectral(generator, cfg):
-        for k, tau in enumerate(taus):
-            out[:, k] = evolve(state, generator, float(tau), cfg).amplitudes
-        return out
+    if not np.all(np.isfinite(taus)):
+        raise ValueError("tau must be finite")
+    spectral = cfg.method == "auto"
+    if spectral and not (generator.even_offsets_only
+                         and generator.hermiticity_tag == SKEW_HERMITIAN):
+        raise ValueError("method 'auto' takes only parity-preserving skew-hermitian "
+                         "generators; use 'dense_expm' or 'krylov'")
     v, bands, zeros = state.amplitudes, generator.bands, np.zeros(state.dim)
-    for parity in (0, 1):
-        if np.any(v[parity::2]):
+    if not spectral:
+        g = generator.to_dense()
+        g = g.real if generator.is_real else g
+    sectors = ((slice(0, None, 2), slice(1, None, 2)) if generator.even_offsets_only
+               else (slice(None),))
+    out = np.zeros((state.dim, len(taus)), dtype=complex)
+    for sector in sectors:
+        if not np.any(v[sector]):
+            continue
+        if spectral:
             # H = iG on this parity sector is tridiagonal: offsets 0 and 2 of G
-            exp_h = _tridiagonal_exp((1j * bands.get(0, zeros)[parity::2]).real,
-                                     1j * bands.get(2, zeros[2:])[parity::2])
-            out[parity::2] = exp_h.apply(taus, v[parity::2])
-    return _unit_columns(out, "propagated")
+            exp_h = _tridiagonal_exp((1j * bands.get(0, zeros)[sector]).real,
+                                     1j * bands.get(2, zeros[2:])[sector])
+            out[sector] = exp_h.apply(taus, v[sector])
+        else:
+            block = np.ascontiguousarray(g[sector, sector])
+            for k, tau in enumerate(taus):
+                out[sector, k] = _propagate_vector(block, v[sector], tau, cfg)
+    if spectral:
+        return _unit_columns(out, "propagated")
+    # one column at a time, so each equals its own ``evolve`` bit for bit
+    for column in out.T:
+        column[:] = _unit_columns(column, "propagated")
+    return out
 
 
 def evolve(state: SpinState, generator: BandedOperator, tau,
            cfg: PropagatorConfig = DEFAULT_CONFIG) -> SpinState:
-    """Apply exp(G*tau) to the state.
+    """Apply exp(G*tau) to the state: ``evolve_many`` at the single time tau.
 
-    The generator must act on the same spin J.  tau = 0 returns the input
-    unchanged.  The output norm is re-verified to 1 within 1e-10; a
-    propagation that cannot meet the configured tolerance raises
-    PropagationError rather than returning a silently inaccurate state.
-    The default route is ``evolve_many`` at the single time tau.
+    tau = 0 returns the input unchanged once the arguments are checked.
     """
-    _check_spin(state, generator)
-    if not math.isfinite(tau):
-        raise ValueError("tau must be finite")
-    if tau == 0.0:
-        return state
-    if _spectral(generator, cfg):
-        return _spin_state(state.j, evolve_many(state, generator, [tau], cfg)[:, 0])
-    v = state.amplitudes
-    g = generator.to_dense()
-    g = g.real if generator.is_real else g
-    if generator.even_offsets_only:
-        # parity-preserving generator: the two M-parity sectors evolve
-        # independently, and an empty sector stays exactly zero
-        out = np.zeros(state.dim, dtype=complex)
-        for parity in (0, 1):
-            if np.any(v[parity::2]):
-                block = np.ascontiguousarray(g[parity::2, parity::2])
-                out[parity::2] = _propagate_vector(block, v[parity::2], tau, cfg)
-    else:
-        out = _propagate_vector(g, v, tau, cfg)
-    return _spin_state(state.j, _unit_columns(out, "propagated"))
+    amplitudes = evolve_many(state, generator, [tau], cfg)[:, 0]
+    return state if tau == 0.0 else _spin_state(state.j, amplitudes)
 
 
 def _axis_operator(j, axis) -> BandedOperator:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from tactsim.dynamics import (
     tact_generator,
 )
 from tactsim.observables import spin_moments
+from tactsim.operators import SKEW_HERMITIAN, BandedOperator, build_operator, ladder_coefficients
 from tactsim.reference import default_tau_max
 from tactsim.states import CoherentSpinParams, basis_state, make_css, make_twin_fock
 
@@ -186,6 +188,33 @@ class TestSpectralDefault:
                 assert np.all(out[1 - parity::2] == 0.0)
 
 
+def _minus_i_jx(j):
+    """G = -i Jx: skew-hermitian, but it couples the two M-parity sectors."""
+    half = -0.5j * ladder_coefficients(j)
+    return BandedOperator(j, {1: half, -1: half}, SKEW_HERMITIAN)
+
+
+class TestAutoBoundary:
+    """``auto`` takes only parity-preserving skew-hermitian generators; the
+    oracles take any generator."""
+
+    @pytest.mark.parametrize("make_generator", [_minus_i_jx, lambda j: build_operator(j, "Jz")],
+                             ids=["odd_offsets", "hermitian"])
+    def test_auto_rejects_other_generators(self, make_generator):
+        for propagate in (evolve, lambda s, g, tau: evolve_many(s, g, [tau])):
+            with pytest.raises(ValueError, match="dense_expm"):
+                propagate(basis_state(3, 3), make_generator(3), 0.2)
+
+    @pytest.mark.parametrize("cfg", [DENSE, KRYLOV], ids=["dense", "krylov"])
+    @pytest.mark.parametrize("j", [0.5, 3, 7.5, 50])
+    def test_oracles_match_x_rotation(self, j, cfg):
+        s = make_css(j, CoherentSpinParams(alpha=0.3, beta=1.2))
+        g = _minus_i_jx(j)
+        for tau in (0.4, math.pi / 2, 2.9):
+            oracle = evolve(s, g, tau, cfg).amplitudes
+            assert np.max(np.abs(oracle - rotate(s, "x", tau).amplitudes)) <= 1e-12
+
+
 class TestEvolveMany:
     @pytest.mark.parametrize("gamma", [0.0, 0.3])
     @pytest.mark.parametrize("j", [0.5, 1, 5.5, 50])
@@ -206,9 +235,11 @@ class TestEvolveMany:
             assert np.array_equal(block[:, k], evolve(basis_state(5, 5), g, tau, cfg).amplitudes)
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf])
-    def test_non_finite_tau_fails_the_norm_check(self, tau):
-        with pytest.raises(PropagationError, match="norm"):
-            evolve_many(basis_state(10, 10), tact_generator(10), [0.1, tau])
+    def test_non_finite_tau_rejected_up_front(self, tau):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="tau must be finite"):
+                evolve_many(basis_state(10, 10), tact_generator(10), [0.1, tau])
 
     def test_mismatched_spin_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
@@ -248,6 +279,15 @@ class TestRotate:
         with pytest.raises(ValueError, match="normalized"):
             rotate(basis_state(2, 2), np.array([0.0, 2.0, 0.0]), 0.5)
 
+    @pytest.mark.parametrize("axis", ["x", "y", (0.48, 0.6, 0.64)])
+    @pytest.mark.parametrize("j", [0.5, 1, 7.5, 50, 400])
+    def test_group_law_and_periodicity(self, j, axis):
+        s = make_css(j, CoherentSpinParams(alpha=0.3, beta=1.2))
+        twice = rotate(rotate(s, axis, 0.7), axis, 1.9).amplitudes
+        assert np.max(np.abs(twice - rotate(s, axis, 0.7 + 1.9).amplitudes)) <= 1e-12
+        full_turn = rotate(s, axis, 2 * math.pi).amplitudes
+        sign = (-1) ** round(2 * j)
+        assert np.max(np.abs(full_turn - sign * s.amplitudes)) <= 1e-12
 
     def test_z_rotation_is_global_phase_on_highest_weight(self):
         s = basis_state(4, 4)
