@@ -274,17 +274,14 @@ def scan_cmd(settings, j, metric, tau_min, tau_max, grid, refine_tol,
     try:
         cfg = _propagator(settings, method, tol)
         n_grid = settings.get("grid", grid, 512, int)
-        if tau_max is None and tau_min is None and refine_tol is None:
-            spec = ScanSpec.auto(j, metric, n_grid=n_grid)
-        else:
-            base = ScanSpec.auto(j, metric, n_grid=n_grid)
-            spec = ScanSpec(
-                j=j, metric=metric,
-                tau_min=tau_min if tau_min is not None else 0.0,
-                tau_max=tau_max if tau_max is not None else base.tau_max,
-                n_grid=n_grid,
-                refine_tol=refine_tol if refine_tol is not None else base.refine_tol,
-            )
+        base = ScanSpec.auto(j, metric, n_grid=n_grid)
+        spec = ScanSpec(
+            j=j, metric=metric,
+            tau_min=tau_min if tau_min is not None else 0.0,
+            tau_max=tau_max if tau_max is not None else base.tau_max,
+            n_grid=n_grid,
+            refine_tol=refine_tol if refine_tol is not None else base.refine_tol,
+        )
         result = scan_tau(spec, cfg)
         out_path = _out_dir(settings, out)
         prefix = f"scan_{metric}_j{j:g}"
@@ -322,6 +319,8 @@ def _read_pairs(path):
             continue
         if values is None or len(values) != 2:
             raise ValueError(f"{path}:{line_no}: expected 'J,value', got {raw!r}")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}:{line_no}: non-finite number in {raw!r}")
         rows.append(tuple(values))
     return rows
 

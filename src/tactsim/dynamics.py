@@ -5,17 +5,21 @@ exp(G*tau) with G skew-hermitian and tau dimensionless when chi = 1.
 
 Generators that couple only M <-> M+-2 are propagated per parity block,
 so amplitudes of the untouched parity stay exactly zero.  Each parity
-block of such a generator is tridiagonal, and so are Jx, Jy and any
-unit-vector J_n.  The default route exploits this:
+block of such a generator is tridiagonal.  The default route exploits this:
 
-* ``auto``: one cached eigendecomposition per tridiagonal Hermitian H
-  (H = iG for a parity block of a skew-hermitian generator, H = J_axis
-  for a rotation), H = P V diag(lam) V^T P* with a unit phase gauge P
-  and ``scipy.linalg.eigh_tridiagonal``; then
+* ``auto``: one cached eigendecomposition per parity block, H = iG =
+  P V diag(lam) V^T P* with a unit phase gauge P and
+  ``scipy.linalg.eigh_tridiagonal``; then
   exp(-i t H) v = P V (exp(-i lam t) * V^T P* v) for every t at
   round-off accuracy; ``evolve_many`` takes a whole vector of t in one
   product.  ``auto`` takes no other generator: it raises ValueError and
   names the oracles below, which take any generator.
+
+Rotations need no eigensolve.  exp(-i pi/2 Jy) is the real Wigner matrix
+Delta = d^J(pi/2), built once per J by a three-term recursion in O(J^2);
+its columns are the Jx eigenvectors with the exact eigenvalues M, so every
+other axis and angle is a phase-dressed product with Delta (see
+``_rotation_cache``).  Rotation matrices are cached read-only.
 
 Two independent routes stay selectable as oracles and are cross-checked
 against ``auto`` by the tests:
@@ -38,27 +42,28 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .operators import (
-    HERMITIAN,
+# build_operator is unused here, but the bench tracer (perfbench/tracer.py)
+# wraps it as dynamics.build_operator, and a missing attribute breaks every
+# traced run
+from .operators import (  # noqa: F401
     SKEW_HERMITIAN,
     BandedOperator,
     build_operator,
     ladder_coefficients,
     m_values,
-    spin_dimension,
     validate_spin,
 )
 from .states import SpinState, basis_state
 
-_ROTATION_DENSE_LIMIT = 2048
 _KRYLOV_M = 40
 _KRYLOV_STEP_BUDGET = 0.3  # target ||G||*dt per substep, in units of m
 _EVOLVE_NORM_TOL = 1e-10
-_EIGEN_CACHE_SIZE = 32  # eigensystems: ~3 per J (x, y, one twisting block)
+_EIGEN_CACHE_SIZE = 32  # twisting parity blocks: one per (J, chi, gamma) from |J,J>
 _ROTATION_CACHE_SIZE = 32
 _GENERATOR_CACHE_SIZE = 64
 
 AXIS_LABELS = ("x", "y", "z")
+_AXIS_VECTORS = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
 
 class PropagationError(RuntimeError):
@@ -100,7 +105,7 @@ def _axis_key(axis):
     vec = np.asarray(axis, dtype=float)
     if vec.shape != (3,):
         raise ValueError("rotation axis vector must have 3 components")
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(vec) - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError("rotation axis vector must be normalized (1e-12)")
     return tuple(float(c) for c in vec)
 
@@ -257,7 +262,8 @@ def _spin_state(j, amplitudes) -> SpinState:
 
 
 class _TridiagonalExp:
-    """exp(-i t H) for a Hermitian tridiagonal H, from one eigendecomposition.
+    """exp(-i t H) for a Hermitian tridiagonal H (a parity block of the
+    twisting generator), from one eigendecomposition.
 
     H = P T P* with unit phases P chosen so that T is real symmetric
     tridiagonal with off-diagonal |e_k|; T = V diag(values) V^T comes from
@@ -280,52 +286,16 @@ class _TridiagonalExp:
             arr.flags.writeable = False
 
     def apply(self, t, v):
-        """exp(-i t H) v.  An array t gives one column per t (v a vector);
-        a scalar t may act on a block of columns v."""
-        coeff = _matvec(self.vectors.T, _scale_rows(np.conj(self.phase), v))
-        waves = np.exp(-1j * np.multiply.outer(self.values, t))
-        waves = waves * coeff[:, None] if np.ndim(t) else _scale_rows(waves, coeff)
-        out = _scale_rows(self.phase, _matvec(self.vectors, waves))
+        """exp(-i t H) v for every entry of the array t, one column per t."""
+        coeff = _matvec(self.vectors.T, np.conj(self.phase) * v)
+        waves = np.exp(-1j * np.multiply.outer(self.values, t)) * coeff[:, None]
+        out = self.phase[:, None] * _matvec(self.vectors, waves)
         return out.real if self.is_real and not np.any(np.imag(v)) else out
-
-    def matrix(self, t):
-        """exp(-i t H) = P (V cos V^T - i V sin V^T) P* as a dense matrix.  For a
-        purely imaginary H the phases are (+-i)^k and the result is real: the cos
-        part on even j-k, the sin part on odd j-k, from three half-size products."""
-        vec, phase = self.vectors, self.phase
-        cos, sin = np.cos(t * self.values), np.sin(t * self.values)
-        if not self.is_real:
-            core = (vec * cos) @ vec.T - 1j * ((vec * sin) @ vec.T)
-            return phase[:, None] * core * np.conj(phase)
-        even, odd, pe, po = vec[0::2], vec[1::2], phase[0::2], phase[1::2]
-        mat = np.empty((len(phase), len(phase)))
-        mat[0::2, 0::2] = (pe[:, None] * np.conj(pe)).real * ((even * cos) @ even.T)
-        mat[1::2, 1::2] = (po[:, None] * np.conj(po)).real * ((odd * cos) @ odd.T)
-        mat[0::2, 1::2] = (pe[:, None] * np.conj(po)).imag * ((even * sin) @ odd.T)
-        mat[1::2, 0::2] = -mat[0::2, 1::2].T
-        return mat
 
 
 @lru_cache(maxsize=_EIGEN_CACHE_SIZE)
 def _cached_eigensystem(diag: bytes, upper: bytes) -> _TridiagonalExp:
     return _TridiagonalExp(np.frombuffer(diag), np.frombuffer(upper, dtype=complex))
-
-
-def _tridiagonal_exp(diag, upper) -> _TridiagonalExp:
-    """The shared eigensystem of the Hermitian tridiagonal with these bands.
-
-    Keyed on the band content, so equal operators share one decomposition
-    whoever built them.
-    """
-    return _cached_eigensystem(np.asarray(diag, dtype=float).tobytes(),
-                               np.asarray(upper, dtype=complex).tobytes())
-
-
-def _propagate_vector(g, v, tau, cfg: PropagatorConfig):
-    """exp(g*tau) v by the configured oracle route, for a dense generator block g."""
-    if cfg.method == "dense_expm":
-        return scipy.linalg.expm(g * tau) @ v
-    return _krylov_expm_action(g, v, tau, cfg.tolerance, int(cfg.max_substeps))
 
 
 def evolve_many(state: SpinState, generator: BandedOperator, taus,
@@ -364,14 +334,19 @@ def evolve_many(state: SpinState, generator: BandedOperator, taus,
         if not np.any(v[sector]):
             continue
         if spectral:
-            # H = iG on this parity sector is tridiagonal: offsets 0 and 2 of G
-            exp_h = _tridiagonal_exp((1j * bands.get(0, zeros)[sector]).real,
-                                     1j * bands.get(2, zeros[2:])[sector])
-            out[sector] = exp_h.apply(taus, v[sector])
+            # H = iG on this parity sector is tridiagonal: offsets 0 and 2 of G;
+            # its eigensystem is keyed on the band content, so equal blocks share it
+            diag = (1j * bands.get(0, zeros)[sector]).real
+            upper = 1j * bands.get(2, zeros[2:])[sector]
+            out[sector] = _cached_eigensystem(diag.tobytes(), upper.tobytes()).apply(
+                taus, v[sector])
         else:
             block = np.ascontiguousarray(g[sector, sector])
             for k, tau in enumerate(taus):
-                out[sector, k] = _propagate_vector(block, v[sector], tau, cfg)
+                out[sector, k] = (
+                    scipy.linalg.expm(block * tau) @ v[sector] if cfg.method == "dense_expm"
+                    else _krylov_expm_action(block, v[sector], tau, cfg.tolerance,
+                                             int(cfg.max_substeps)))
     if spectral:
         return _unit_columns(out, "propagated")
     # one column at a time, so each equals its own ``evolve`` bit for bit
@@ -390,37 +365,86 @@ def evolve(state: SpinState, generator: BandedOperator, tau,
     return state if tau == 0.0 else _spin_state(state.j, amplitudes)
 
 
-def _axis_operator(j, axis) -> BandedOperator:
-    axis = _axis_key(axis)
-    if isinstance(axis, str):
-        return build_operator(j, "J" + axis)
-    lad = ladder_coefficients(j)
-    bands = {
-        0: axis[2] * m_values(j),
-        1: (axis[0] / 2 - 0.5j * axis[1]) * lad,
-        -1: (axis[0] / 2 + 0.5j * axis[1]) * lad,
-    }
-    return BandedOperator(j, bands, HERMITIAN)
+def _wigner_quarter(two_j):
+    """Delta = d^J(pi/2) = exp(-i pi/2 Jy) for spin two_j/2, in O(J^2).
+
+    Column k is the Jx eigenvector with eigenvalue M' = J - k (Edmonds 1957).
+    Its three-term recursion runs from the edge row inward, where the
+    amplitudes grow, and d_{-M,M'} = (-1)^(J-M') d_{M,M'} gives the lower
+    half.  The exact edge row sqrt(C(2J, k)) / 2^J underflows past J ~ 1000,
+    so each column starts from its sign, is rescaled past 1e150, and is
+    normalized at the end."""
+    n = two_j + 1
+    lad = np.concatenate(([0.0], ladder_coefficients(two_j / 2)))  # lad[i] couples i-1, i
+    twice_m = two_j - 2.0 * np.arange(n)
+    sign = 1.0 - 2.0 * (np.arange(n) % 2)  # (-1)^(J-M')
+    top = (n + 1) // 2  # the rows with M >= 0
+    delta = np.zeros((n, n))  # row -1 stays zero until the loop ends
+    delta[0] = sign
+    for i in range(top - 1):
+        delta[i + 1] = (twice_m * delta[i] - lad[i] * delta[i - 1]) / lad[i + 1]
+        delta[: i + 2, np.abs(delta[i + 1]) > 1e150] *= 1e-150
+    if n % 2:
+        delta[top - 1] *= sign > 0  # d_{0,M'} vanishes for odd J - M'
+    delta[top:] = delta[n // 2 - 1::-1] * sign
+    delta /= np.sqrt(np.einsum("ij,ij->j", delta, delta))
+    return delta
 
 
-def _axis_exp(j, axis) -> _TridiagonalExp:
-    """Eigensystem of J_axis, which is tridiagonal for every axis."""
-    bands = _axis_operator(j, axis).bands
-    n = spin_dimension(j)
-    return _tridiagonal_exp(bands.get(0, np.zeros(n)).real, bands.get(1, np.zeros(n - 1)))
+def _x_rotation(quarter, m, angle):
+    """exp(-i angle Jx) = Delta diag(exp(-i angle M)) Delta^T from three half-size
+    products: Jx flips the parity of M, so cos fills even a-b, -i sin odd a-b."""
+    cos, sin = np.cos(angle * m), np.sin(angle * m)
+    even, odd = quarter[0::2], quarter[1::2]
+    mat = np.empty((len(m), len(m)), dtype=complex)
+    mat[0::2, 0::2] = (even * cos) @ even.T
+    mat[1::2, 1::2] = (odd * cos) @ odd.T
+    mat[0::2, 1::2] = -1j * ((even * sin) @ odd.T)
+    mat[1::2, 0::2] = mat[0::2, 1::2].T
+    return mat
 
 
 @lru_cache(maxsize=_ROTATION_CACHE_SIZE)
 def _rotation_cache(two_j, axis, angle):
-    """exp(-i * angle * J_axis) for spin two_j/2, shared read-only."""
-    mat = _axis_exp(two_j / 2, axis).matrix(angle)
+    """exp(-i * angle * J_axis) for spin two_j/2, shared read-only.
+
+    Delta = exp(-i pi/2 Jy) is the ("y", pi/2) entry.  An axis at polar
+    angle theta and azimuth phi gives P V diag(exp(-i angle M)) V^T P* with
+    V = d(theta) (Delta in the xy-plane) and P = exp(i phi k), k = J - M;
+    for y, P = i^k exactly, so the matrix is exactly real.
+    """
+    if axis == "y" and angle == math.pi / 2:
+        mat = _wigner_quarter(two_j)
+    else:
+        x, y, z = _AXIS_VECTORS.get(axis, axis)
+        t = angle * math.hypot(x, y, z)  # a vector axis may miss unit length by 1e-12
+        m, k = two_j / 2 - np.arange(two_j + 1), np.arange(two_j + 1)
+        vec = _rotation_cache(two_j, "y", math.atan2(math.hypot(x, y), z))
+        if z == 0:
+            core = _x_rotation(vec, m, t)
+        else:
+            core = (vec * np.cos(t * m)) @ vec.T - 1j * ((vec * np.sin(t * m)) @ vec.T)
+        phase = (np.array([1, 1j, -1, -1j])[k % 4] if axis == "y"
+                 else np.exp(1j * math.atan2(y, x) * k))
+        mat = phase[:, None] * core * np.conj(phase)
+        mat = np.ascontiguousarray(mat.real) if axis == "y" else mat
     mat.flags.writeable = False
     return mat
 
 
+def _rotation_key(axis, angle):
+    """The rotation exp(-i angle n.J) as (label, angle) when n lies along a
+    coordinate axis, so y-like vectors get the real y matrix, else as given."""
+    axis = _axis_key(axis)
+    if isinstance(axis, tuple) and np.count_nonzero(axis) == 1:
+        k = int(np.flatnonzero(axis)[0])
+        return AXIS_LABELS[k], angle * axis[k]
+    return axis, angle
+
+
 def _rotation_matrix(j, axis, angle):
     """Cached exp(-i * angle * J_axis); real for y-like axes."""
-    return _rotation_cache(validate_spin(j), _axis_key(axis), float(angle))
+    return _rotation_cache(validate_spin(j), *_rotation_key(axis, float(angle)))
 
 
 def _rotate_amplitudes(j, axis, angle, amplitudes):
@@ -430,14 +454,12 @@ def _rotate_amplitudes(j, axis, angle, amplitudes):
     """
     if not math.isfinite(angle):
         raise ValueError("rotation angle must be finite")
-    axis = _axis_key(axis)
+    axis, angle = _rotation_key(axis, float(angle))
     if axis == "z":
         # Jz is diagonal here; apply the phases exactly
         out = _scale_rows(np.exp(-1j * angle * m_values(j)), amplitudes)
-    elif spin_dimension(j) <= _ROTATION_DENSE_LIMIT:
-        out = _matvec(_rotation_matrix(j, axis, angle), amplitudes)
     else:
-        out = _axis_exp(j, axis).apply(angle, amplitudes)
+        out = _matvec(_rotation_cache(validate_spin(j), axis, angle), amplitudes)
     return _unit_columns(out, "rotated")
 
 

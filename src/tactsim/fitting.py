@@ -211,6 +211,8 @@ def _prepare_data(data):
     arr = np.asarray([(float(j), float(y)) for j, y in data])
     if arr.ndim != 2 or arr.shape[0] < 3:
         raise FitError("fit needs at least 3 data points")
+    if not np.all(np.isfinite(arr)):
+        raise FitError("fit needs finite J and values")
     jj, yy = arr[:, 0], arr[:, 1]
     if np.any(jj <= 0):
         raise FitError("fit needs positive J values")

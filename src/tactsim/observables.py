@@ -161,13 +161,11 @@ def qpd(state: SpinState, n_phi: int = 360, n_theta: int = 180) -> QpdGrid:
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = 2 * math.pi * np.arange(n_phi) / n_phi
     mags = _css_table(validate_spin(state.j), n_theta)  # (n, n_theta)
-    weighted = mags * state.amplitudes[:, None]
-    if n <= n_phi:
-        folded = weighted
-    else:
-        pad = (-n) % n_phi
-        padded = np.pad(weighted, ((0, pad), (0, 0)))
-        folded = padded.reshape(-1, n_phi, n_theta).sum(axis=0)
+    amps = state.amplitudes[:, None]
+    folded = np.zeros((min(n, n_phi), n_theta), dtype=complex)
+    for start in range(0, n, n_phi):  # fold M-index blocks of n_phi rows in place
+        block = mags[start:start + n_phi] * amps[start:start + n_phi]
+        folded[: len(block)] += block
     spectrum = np.fft.fft(folded, n=n_phi, axis=0)
     values = np.clip(np.abs(spectrum) ** 2, 0.0, 1.0)
     return QpdGrid(j=state.j, phis=phis, thetas=thetas, values=values)

@@ -7,6 +7,7 @@ mirroring ``numpy.diag`` semantics.  All operators used here have
 bandwidth at most 2.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +18,11 @@ GENERAL = "general"
 
 _SYMMETRY_TOL = 1e-14
 
-OPERATOR_KINDS = ("Jx", "Jy", "Jz", "Jplus", "Jminus", "Jplus2_minus_Jminus2")
-
 
 def validate_spin(j) -> int:
     """Check that j is a half-integer >= 1/2 and return 2j as an int."""
+    if not math.isfinite(j):
+        raise ValueError(f"total spin must be finite, got {j!r}")
     two_j = int(round(2 * j))
     if abs(2 * j - two_j) > 1e-9 or two_j < 1:
         raise ValueError(f"total spin must be a half-integer >= 1/2, got {j!r}")
@@ -124,17 +125,6 @@ class BandedOperator:
         for d, coef in self.bands.items():
             out += np.diag(coef, d)
         return out
-
-    def sup_norm_bound(self) -> float:
-        """Max absolute row sum, an upper bound on the spectral norm."""
-        n = self.dim
-        rows = np.zeros(n)
-        for d, coef in self.bands.items():
-            if d >= 0:
-                rows[: n - d] += np.abs(coef)
-            else:
-                rows[-d:] += np.abs(coef)
-        return float(rows.max()) if n else 0.0
 
 
 def build_operator(j, kind: str) -> BandedOperator:

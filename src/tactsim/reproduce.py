@@ -23,16 +23,16 @@ from .scan import scaling_sweep, squeezed_state
 
 SWEEP_METRICS = ("fid_ewss", "fid_tfs", "var_z_max", "var_y_min")
 
-# which sweep metric / derived series feeds each fitted law
+# the series column that feeds each fitted law
 LAW_SOURCES = {
-    "fid_ewss_max": ("fid_ewss", "value"),
-    "fid_tfs_max": ("fid_tfs", "value"),
-    "dz_at_tau_ewss": ("fid_ewss", "dz_at_tau"),
-    "dz_at_tau_tfs": ("fid_tfs", "dz_at_tau"),
-    "dz_max": ("var_z_max", "value"),
-    "tau_ewss": ("fid_ewss", "tau"),
-    "tau_tfs": ("fid_tfs", "tau"),
-    "tau_dz_max": ("var_z_max", "tau"),
+    "fid_ewss_max": "value_fid_ewss",
+    "fid_tfs_max": "value_fid_tfs",
+    "dz_at_tau_ewss": "dz_at_tau_ewss",
+    "dz_at_tau_tfs": "dz_at_tau_tfs",
+    "dz_max": "value_var_z_max",
+    "tau_ewss": "tau_fid_ewss",
+    "tau_tfs": "tau_fid_tfs",
+    "tau_dz_max": "tau_var_z_max",
 }
 
 TAU_CHECK_JS = (20, 50, 100)
@@ -137,9 +137,9 @@ def _validate_j_list(j_list):
     if not j_list:
         raise ValueError("j_list must be nonempty")
     for j in j_list:
-        if abs(j - round(j)) > 1e-9 or j < 1:
-            raise ValueError("j_list must contain positive integers "
-                             "(the twin-Fock metric needs integer J)")
+        if not math.isfinite(j) or abs(j - round(j)) > 1e-9 or j < 1:
+            raise ValueError("j_list must contain finite positive integers "
+                             f"(the twin-Fock metric needs integer J), got {j!r}")
     if any(b <= a for a, b in zip(j_list, j_list[1:])):
         raise ValueError("j_list must be strictly ascending")
     return j_list
@@ -177,29 +177,14 @@ def run_reproduction(j_list, cfg: PropagatorConfig = DEFAULT_CONFIG,
                               checks=checks, notes=notes)
 
 
-def _series_column(series, source):
-    metric, kind = source
-    jj, yy = [], []
-    for entry in series:
-        if kind == "value":
-            key = f"value_{metric}"
-        elif kind == "tau":
-            key = f"tau_{metric}"
-        else:
-            key = "dz_at_tau_ewss" if metric == "fid_ewss" else "dz_at_tau_tfs"
-        if key in entry:
-            jj.append(entry["j"])
-            yy.append(entry[key])
-    return jj, yy
-
-
 def _fit_all_laws(series, j_list):
     rows = []
-    for key, source in LAW_SOURCES.items():
+    for key, column in LAW_SOURCES.items():
         law = REFERENCE_LAWS[key]
         row = FitRow(key=key, family=law.model.family,
                      published=law.model.params, stated_range=law.stated_range)
-        jj, yy = _series_column(series, source)
+        entries = [entry for entry in series if column in entry]
+        jj, yy = [entry["j"] for entry in entries], [entry[column] for entry in entries]
         row.j_range = f"J in [{min(jj):g}, {max(jj):g}] ({len(jj)} points)" if jj else "no data"
         try:
             if len(jj) < 3:

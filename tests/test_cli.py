@@ -57,6 +57,14 @@ class TestStateCommand:
         assert result.exit_code == 1
         assert "twin-Fock requires integer J" in result.output
 
+    @pytest.mark.parametrize("j", ["inf", "nan"])
+    def test_non_finite_spin_fails_by_name(self, runner, tmp_path, j):
+        result = runner.invoke(main, ["state", "--kind", "css", "--j", j,
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "total spin must be finite" in result.output
+
 
 class TestQpdCommand:
     def test_pole_state_peaks_at_north_pole(self, runner, tmp_path):
@@ -189,6 +197,16 @@ class TestFitCommand:
         assert f"{data}:5:" in result.output
         assert not (tmp_path / "fit_shifted_power.json").exists()
 
+    @pytest.mark.parametrize("bad_line", ["inf,3.0", "30,nan"])
+    def test_non_finite_row_fails_with_location(self, runner, tmp_path, bad_line):
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(["J,value", "10,6.0", "20,11.0", bad_line, "40,21.0"]) + "\n")
+        result = runner.invoke(main, ["fit", "--family", "shifted_power",
+                                      "--data", str(data), "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert f"{data}:4: non-finite" in result.output
+        assert not (tmp_path / "fit_shifted_power.json").exists()
+
 
 class TestConfigPrecedence:
     def test_config_supplies_defaults(self, runner, tmp_path):
@@ -292,3 +310,11 @@ class TestReproduceCommand:
                                       "--out", str(tmp_path)])
         assert result.exit_code == 1
         assert "ascending" in result.output
+
+    @pytest.mark.parametrize("j_list", ["5,inf", "5,nan"])
+    def test_rejects_non_finite_j(self, runner, tmp_path, j_list):
+        result = runner.invoke(main, ["reproduce-paper", "--j-list", j_list,
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "finite" in result.output

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,7 +11,6 @@ from tactsim.dynamics import (
     PropagationError,
     PropagatorConfig,
     TwistProtocol,
-    _axis_operator,
     _rotation_matrix,
     evolve,
     evolve_many,
@@ -150,18 +150,13 @@ class TestSpectralDefault:
     @pytest.mark.parametrize("axis", ["x", "y", (0.48, 0.6, 0.64), (0.0, -1.0, 0.0)])
     @pytest.mark.parametrize("j", [0.5, 1, 7.5, 50])
     def test_rotation_matrix_matches_expm(self, j, axis):
+        vec = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0)}.get(axis, axis)
+        j_n = sum(c * build_operator(j, kind).to_dense()
+                  for c, kind in zip(vec, ("Jx", "Jy", "Jz")))
         for angle in (0.4, math.pi / 2, 2.9):
             mat = _rotation_matrix(j, axis, angle)
-            oracle = scipy.linalg.expm(-1j * angle * _axis_operator(j, axis).to_dense())
+            oracle = scipy.linalg.expm(-1j * angle * j_n)
             assert np.max(np.abs(mat - oracle)) <= 1e-12
-
-    @pytest.mark.parametrize("axis", ["x", "y"])
-    def test_large_rotation_without_matrix_matches(self, monkeypatch, axis):
-        s = make_css(10, CoherentSpinParams(alpha=0.3, beta=1.2))
-        expect = rotate(s, axis, 0.8).amplitudes
-        monkeypatch.setattr(dynamics, "_ROTATION_DENSE_LIMIT", 8)
-        got = rotate(s, axis, 0.8).amplitudes
-        assert np.max(np.abs(got - expect)) <= 1e-12
 
     def test_y_rotation_matrix_is_real(self):
         assert not np.iscomplexobj(_rotation_matrix(20, "y", 0.7))
@@ -279,6 +274,27 @@ class TestRotate:
         with pytest.raises(ValueError, match="normalized"):
             rotate(basis_state(2, 2), np.array([0.0, 2.0, 0.0]), 0.5)
 
+    @pytest.mark.parametrize("axis", [(math.nan, 0.0, 0.0), (0.0, math.nan, 1.0)])
+    def test_nan_axis_rejected_by_name(self, axis):
+        with pytest.raises(ValueError, match="normalized"):
+            rotate(basis_state(2, 2), axis, 0.5)
+        with pytest.raises(ValueError, match="normalized"):
+            TwistProtocol(rotation_axis=axis)
+
+    def test_axis_length_scales_the_angle(self):
+        # exp(-i angle n.J) for an accepted axis 9e-13 longer than unit
+        s = make_css(400, CoherentSpinParams(alpha=0.3, beta=1.2))
+        axis = np.array([0.48, 0.6, 0.64]) * (1 + 9e-13)
+        length = float(np.linalg.norm(axis))
+        expect = rotate(s, tuple(axis / length), 2.9 * length).amplitudes
+        assert np.max(np.abs(rotate(s, tuple(axis), 2.9).amplitudes - expect)) <= 1e-12
+
+    def test_quarter_turn_about_y_is_the_cached_wigner_matrix(self):
+        first = _rotation_matrix(30, "y", math.pi / 2)
+        assert _rotation_matrix(30, "y", math.pi / 2) is first
+        assert not first.flags.writeable
+        assert np.array_equal(first, dynamics._wigner_quarter(60))
+
     @pytest.mark.parametrize("axis", ["x", "y", (0.48, 0.6, 0.64)])
     @pytest.mark.parametrize("j", [0.5, 1, 7.5, 50, 400])
     def test_group_law_and_periodicity(self, j, axis):
@@ -313,6 +329,82 @@ class TestRotate:
         s = make_css(30, CoherentSpinParams(alpha=1.0, beta=0.4))
         out = rotate(s, "x", 1.3)
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
+
+
+class TestWignerQuarter:
+    """Delta = d^J(pi/2) past the J where its edge row would underflow, against
+    oracles that share no code with its recursion."""
+
+    @pytest.mark.parametrize("two_j", [1, 2, 7, 14])
+    def test_mirror_symmetry_is_exact(self, two_j):
+        delta = dynamics._wigner_quarter(two_j)
+        sign = (-1.0) ** np.arange(two_j + 1)  # (-1)^(J-M')
+        assert np.array_equal(delta[::-1], delta * sign)  # d_{-M,M'} = (-1)^(J-M') d_{M,M'}
+        if two_j % 2 == 0:
+            assert np.all(delta[two_j // 2, 1::2] == 0.0)  # d_{0,M'} for odd J - M'
+
+    @pytest.mark.parametrize("j", [1100, 2000])
+    def test_against_closed_forms_and_jx(self, j):
+        delta = dynamics._wigner_quarter(2 * j)
+        m = np.arange(j, -j - 1, -1)
+        # column M' = J is |J,J> turned by pi/2 about y: the coherent state
+        css = make_css(j, CoherentSpinParams(beta=math.pi / 2)).amplitudes
+        assert np.max(np.abs(delta[:, 0] - css)) <= 1e-12
+        # make_twin_fock = exp(-i pi/2 Jx)|J,0> = i^Jz Delta |J,0>
+        tfs = make_twin_fock(j).amplitudes
+        quarter_turns = np.array([1, -1j, -1, 1j])[m % 4]  # (-i)^M, exactly
+        assert np.max(np.abs(delta[:, j] - quarter_turns * tfs)) <= 1e-12
+        n = 2 * j + 1
+        for v in (np.eye(n)[3], np.full(n, n ** -0.5), np.cos(np.arange(n)) / math.sqrt(n / 2)):
+            assert np.max(np.abs(delta.T @ (delta @ v) - v)) <= 1e-12
+        # Jx Delta = Delta diag(M); Jx has norm J, so the residual is taken
+        # relative to J (the absolute one is 1.5e-12 at J=1100, 1.7e-12 at 2000)
+        jx = build_operator(j, "Jx")
+        for cols in np.array_split(np.arange(n), 8):
+            block = delta[:, cols]
+            assert np.max(np.abs(jx.apply(block) - block * m[cols])) <= 1e-12 * j
+
+
+def _mp_spin_matrices(j):
+    """J+, Jx, Jy, Jz as mpmath matrices from the textbook matrix elements
+    <M|J+|M-1> = sqrt(J(J+1) - M(M-1)), indexed by descending M."""
+    n = round(2 * j) + 1
+    jp, jz = mpmath.zeros(n, n), mpmath.zeros(n, n)
+    for a in range(n):
+        m = mpmath.mpf(j) - a
+        jz[a, a] = m
+        if a + 1 < n:
+            jp[a, a + 1] = mpmath.sqrt(j * (j + 1) - m * (m - 1))
+    jm = jp.T
+    return jp, (jp + jm) / 2, (jp - jm) / 2j, jz
+
+
+class TestMpmathOracle:
+    """40-digit mpmath.expm shares neither LAPACK nor any package code with
+    the rotations and the propagator."""
+
+    @pytest.mark.parametrize("j", [0.5, 1, 2.5, 6])
+    def test_rotations(self, j):
+        with mpmath.workdps(40):
+            _, jx, jy, jz = _mp_spin_matrices(j)
+            for axis in ("x", "y", (0.48, 0.6, 0.64)):
+                vec = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0)}.get(axis, axis)
+                j_n = vec[0] * jx + vec[1] * jy + vec[2] * jz
+                for angle in (0.4, math.pi / 2, 2.9):
+                    oracle = np.array(mpmath.expm(-1j * angle * j_n).tolist(), dtype=complex)
+                    assert np.max(np.abs(_rotation_matrix(j, axis, angle) - oracle)) <= 1e-13
+
+    @pytest.mark.parametrize("j", [2.5, 6])
+    def test_twisting(self, j):
+        chi, gamma = 0.7, 0.3
+        with mpmath.workdps(40):
+            jp = _mp_spin_matrices(j)[0]
+            jm = jp.T
+            g = -(chi / 2) * (mpmath.exp(-2j * gamma) * jp * jp - mpmath.exp(2j * gamma) * jm * jm)
+            for tau in (0.05, 0.6):
+                oracle = np.array(mpmath.expm(g * tau).tolist(), dtype=complex)[:, 0]
+                got = evolve(basis_state(j, j), tact_generator(j, chi, gamma), tau).amplitudes
+                assert np.max(np.abs(got - oracle)) <= 1e-13
 
 
 class TestMakeSSS:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,13 @@ class TestValidation:
             fit("shifted_power", [(1.0, 1.0), (1.0, 2.0), (3.0, 3.0)])
         with pytest.raises(FitError, match="positive"):
             fit("shifted_power", [(-1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
+
+    @pytest.mark.parametrize("bad", [(math.inf, 3.0), (4.0, math.nan), (math.nan, 3.0)])
+    def test_non_finite_data_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="finite"):
+                fit("shifted_power", [(1.0, 1.0), (2.0, 2.0), bad])
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown model family"):

@@ -84,16 +84,17 @@ class TestQpd:
         assert grid.values.min() >= 0.0
 
     def test_matches_direct_inner_products(self):
-        state = make_sss(4, 0.2)
-        grid = qpd(state, n_phi=12, n_theta=7)
-        for ip in (0, 3, 7, 11):
-            for it in (0, 2, 6):
-                phi, theta = grid.phis[ip], grid.thetas[it]
-                mags = css_magnitudes(state.j, theta)
-                k = np.arange(state.dim)
-                css = mags * np.exp(1j * k * phi)
-                direct = abs(np.vdot(css, state.amplitudes)) ** 2
-                assert grid.values[ip, it] == pytest.approx(direct, abs=1e-13)
+        # J=30 has 61 levels > n_phi=16: the folded branch
+        for state, n_phi in ((make_sss(4, 0.2), 12), (make_sss(30, 0.05), 16)):
+            grid = qpd(state, n_phi=n_phi, n_theta=7)
+            for ip in (0, 3, 7, 11):
+                for it in (0, 2, 6):
+                    phi, theta = grid.phis[ip], grid.thetas[it]
+                    mags = css_magnitudes(state.j, theta)
+                    k = np.arange(state.dim)
+                    css = mags * np.exp(1j * k * phi)
+                    direct = abs(np.vdot(css, state.amplitudes)) ** 2
+                    assert grid.values[ip, it] == pytest.approx(direct, abs=1e-13)
 
     @pytest.mark.parametrize("j", [2, 20])
     def test_resolution_of_identity(self, j):

@@ -9,6 +9,7 @@ from tactsim.operators import (
     build_operator,
     m_values,
     spin_dimension,
+    validate_spin,
 )
 
 
@@ -56,13 +57,6 @@ def test_apply_matches_dense_matvec():
         assert np.allclose(op.apply(vec), op.to_dense() @ vec, atol=1e-13)
 
 
-def test_sup_norm_bounds_spectral_norm():
-    for kind in ("Jx", "Jy", "Jplus2_minus_Jminus2"):
-        op = build_operator(3, kind)
-        spectral = np.linalg.norm(op.to_dense(), 2)
-        assert op.sup_norm_bound() >= spectral - 1e-12
-
-
 def test_hermiticity_tag_enforced():
     with pytest.raises(ValueError, match="violate"):
         BandedOperator(1, {1: np.array([1.0, 0.0]), -1: np.array([2.0, 0.0])},
@@ -88,6 +82,12 @@ def test_non_half_integer_spin_rejected():
         build_operator(0.7, "Jz")
     with pytest.raises(ValueError):
         m_values(-1)
+
+
+@pytest.mark.parametrize("j", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_spin_rejected_by_name(j):
+    with pytest.raises(ValueError, match="total spin must be finite"):
+        validate_spin(j)
 
 
 def test_ladder_tag_is_general():
