@@ -16,7 +16,6 @@ from .dynamics import (
     evolve,
     evolve_many,
     make_sss,
-    make_sss_many,
     rotate,
     tact_generator,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "make_css",
     "make_ewss",
     "make_sss",
-    "make_sss_many",
     "make_twin_fock",
     "prob_distribution",
     "qpd",

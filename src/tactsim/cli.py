@@ -6,7 +6,8 @@ CSV output uses 17 significant digits so reports are diff-stable.
 
 Option precedence: command-line flags override the --config file, which
 overrides built-in defaults.  The config file is flat ``key = value``
-text; keys match option names (method, tol, format, out, grid).
+text; keys match option names (method, tol, format, out, grid), and an
+unknown key or a value that does not convert fails naming path:line.
 """
 
 import json
@@ -39,6 +40,10 @@ from .states import (
 )
 
 STATE_KINDS = ("css", "ewss", "tfs", "cat", "sss")
+_METHODS = ("auto", "dense_expm", "krylov")
+_FORMATS = ("json", "csv", "both")
+# config key -> the values it accepts (None: any, converted where it is used)
+_CONFIG_KEYS = {"method": _METHODS, "tol": None, "format": _FORMATS, "out": None, "grid": None}
 
 
 def _fmt(x) -> str:
@@ -62,6 +67,7 @@ def _write_json(path: Path, obj):
 
 
 def _load_config(path):
+    """{key: (value, "path:line")} from a flat ``key = value`` file."""
     values = {}
     if path is None:
         return values
@@ -73,8 +79,22 @@ def _load_config(path):
             raise click.ClickException(
                 f"{path}:{line_no}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key] = value
+        if key not in _CONFIG_KEYS:
+            raise click.ClickException(f"{path}:{line_no}: unknown key {key!r}; "
+                                       f"expected one of {', '.join(_CONFIG_KEYS)}")
+        if _CONFIG_KEYS[key] and value not in _CONFIG_KEYS[key]:
+            raise click.ClickException(f"{path}:{line_no}: bad {key} value {value!r}; "
+                                       f"expected one of {', '.join(_CONFIG_KEYS[key])}")
+        values[key] = (value, f"{path}:{line_no}")
     return values
+
+
+def _parse_grid(grid):
+    try:
+        n_phi, n_theta = map(int, str(grid).lower().split("x"))
+    except ValueError:
+        raise ValueError("expected NPHIxNTHETA") from None
+    return n_phi, n_theta
 
 
 class _Settings:
@@ -85,16 +105,21 @@ class _Settings:
 
     def get(self, key, cli_value, default, convert=str):
         if cli_value is not None:
-            return cli_value
-        if key in self.config:
-            return convert(self.config[key])
-        return default
+            value, where = cli_value, f"--{key}"
+        elif key in self.config:
+            value, where = self.config[key]
+        else:
+            return default
+        try:
+            return convert(value)
+        except ValueError as exc:
+            raise ValueError(f"{where}: bad {key} value {value!r}: {exc}") from None
 
 
 pass_settings = click.make_pass_decorator(_Settings)
 
 _METHOD_OPTION = click.option(
-    "--method", type=click.Choice(["auto", "dense_expm", "krylov"]), default=None,
+    "--method", type=click.Choice(_METHODS), default=None,
     help="Propagator. auto (default): one cached tridiagonal eigensolve per "
          "parity block, for parity-preserving skew-hermitian generators only; "
          "dense_expm and krylov are the cross-check oracles.")
@@ -102,8 +127,7 @@ _TOL_OPTION = click.option(
     "--tol", type=float, default=None,
     help="Krylov error tolerance (binds only --method krylov).")
 _OUT_OPTION = click.option("--out", type=click.Path(file_okay=False), default=None)
-_FORMAT_OPTION = click.option("--format", "fmt", type=click.Choice(["json", "csv", "both"]),
-                              default=None)
+_FORMAT_OPTION = click.option("--format", "fmt", type=click.Choice(_FORMATS), default=None)
 
 
 @click.group()
@@ -208,11 +232,7 @@ def qpd_cmd(settings, j, kind, tau, alpha, beta, chi, gamma, grid, method, tol, 
     """Quasi-probability distribution of a state on the Bloch sphere."""
     try:
         cfg = _propagator(settings, method, tol)
-        grid = settings.get("grid", grid, "360x180")
-        try:
-            n_phi, n_theta = (int(part) for part in str(grid).lower().split("x"))
-        except ValueError:
-            raise ValueError(f"--grid expects NPHIxNTHETA, got {grid!r}") from None
+        n_phi, n_theta = settings.get("grid", grid, (360, 180), _parse_grid)
         if kind is None and tau is None:
             raise ValueError("give --kind, or --tau for the squeezed state")
         if kind is None:

@@ -241,11 +241,6 @@ def _matvec(a, x):
     return (a @ pairs).view(complex).reshape(x.shape)
 
 
-def _scale_rows(d, x):
-    """d[i] * x[i] for a vector or each row of a block of columns x."""
-    return d.reshape((-1,) + (1,) * (x.ndim - 1)) * x
-
-
 def _unit_columns(out, what):
     """out divided by its column norms, which must be 1 within 1e-10 (a
     non-finite column fails too)."""
@@ -447,25 +442,20 @@ def _rotation_matrix(j, axis, angle):
     return _rotation_cache(validate_spin(j), *_rotation_key(axis, float(angle)))
 
 
-def _rotate_amplitudes(j, axis, angle, amplitudes):
-    """exp(-i * angle * J_axis) on a vector or on each column of a block.
+def rotate(state: SpinState, axis, angle) -> SpinState:
+    """Apply exp(-i * angle * J_axis); axis is "x", "y", "z" or a unit vector.
 
-    Every result column is verified to unit norm within 1e-10.
+    The result is verified to unit norm within 1e-10.
     """
     if not math.isfinite(angle):
         raise ValueError("rotation angle must be finite")
     axis, angle = _rotation_key(axis, float(angle))
     if axis == "z":
         # Jz is diagonal here; apply the phases exactly
-        out = _scale_rows(np.exp(-1j * angle * m_values(j)), amplitudes)
+        out = np.exp(-1j * angle * m_values(state.j)) * state.amplitudes
     else:
-        out = _matvec(_rotation_cache(validate_spin(j), axis, angle), amplitudes)
-    return _unit_columns(out, "rotated")
-
-
-def rotate(state: SpinState, axis, angle) -> SpinState:
-    """Apply exp(-i * angle * J_axis); axis is "x", "y", "z" or a unit vector."""
-    return _spin_state(state.j, _rotate_amplitudes(state.j, axis, angle, state.amplitudes))
+        out = _matvec(_rotation_cache(validate_spin(state.j), axis, angle), state.amplitudes)
+    return _spin_state(state.j, _unit_columns(out, "rotated"))
 
 
 @lru_cache(maxsize=_GENERATOR_CACHE_SIZE)
@@ -478,8 +468,9 @@ def make_sss(j, tau=None, protocol: TwistProtocol = DEFAULT_PROTOCOL,
              cfg: PropagatorConfig = DEFAULT_CONFIG) -> SpinState:
     """Squeeze |J,J> for time tau, then apply the protocol rotation.
 
-    This is the canonical post-rotation squeezed state every downstream
-    metric is evaluated on.  tau defaults to protocol.tau.
+    This is the canonical post-rotation squeezed state the squeezing
+    metrics are defined on; scans score them on the twisted state before
+    the rotation instead (see ``scan``).  tau defaults to protocol.tau.
     """
     if tau is None:
         tau = protocol.tau
@@ -489,17 +480,3 @@ def make_sss(j, tau=None, protocol: TwistProtocol = DEFAULT_PROTOCOL,
     gen = _shared_generator(float(j), protocol.chi, protocol.gamma)
     evolved = evolve(initial, gen, tau, cfg)
     return rotate(evolved, protocol.rotation_axis, protocol.rotation_angle)
-
-
-def make_sss_many(j, taus, protocol: TwistProtocol = DEFAULT_PROTOCOL,
-                  cfg: PropagatorConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """``make_sss`` at every tau, as the (2J+1, len(taus)) amplitude columns.
-
-    One ``evolve_many`` product and one rotation product for the block.
-    """
-    taus = np.asarray(taus, dtype=float)
-    if not np.all(np.isfinite(taus) & (taus >= 0)):
-        raise ValueError("tau must be nonnegative and finite")
-    gen = _shared_generator(float(j), protocol.chi, protocol.gamma)
-    evolved = evolve_many(basis_state(j, j), gen, taus, cfg)
-    return _rotate_amplitudes(j, protocol.rotation_axis, protocol.rotation_angle, evolved)

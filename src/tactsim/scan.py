@@ -6,17 +6,18 @@ which targets the first peak rather than later revivals), and refines by
 golden-section search.  Scans are deterministic: identical specs yield
 bitwise-identical results.
 
-The grid is one block of post-rotation states (``make_sss_many``): under
-``auto`` one product with the cached eigensystem of each parity block
-and one with the cached rotation matrix, so a J costs one eigensolve
-however many taus it is scanned at; golden-section steps are one-column
-blocks.  The optimum is re-evaluated on the single-state path
-(``squeezed_state``); a relative disagreement above 1e-10 raises
+The metrics are defined on the protocol's output R psi(tau), with
+R = exp(-i pi/2 Jy), but a scan scores the twisted state psi(tau) itself
+and moves R onto the metric (see ``METRICS``): the grid is one
+``evolve_many`` block of |J,J>, under ``auto`` one product with the cached
+eigensystem of each parity block, and no state is rotated.  The optimum is
+re-evaluated on the single-state path (``squeezed_state``, which rotates);
+a disagreement above 1e-10 relative plus 8 eps max(1, J) raises
 PropagationError.  The ``dense_expm``/``krylov`` oracles stay selectable.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -25,46 +26,52 @@ from .dynamics import (
     DEFAULT_PROTOCOL,
     PropagationError,
     PropagatorConfig,
+    _rotation_matrix,
+    _shared_generator,
+    evolve_many,
     make_sss,
-    make_sss_many,
 )
 from .observables import column_variances, fidelity, spin_moments
 from .reference import default_tau_max
-from .states import make_ewss, make_twin_fock
+from .states import basis_state, make_ewss, make_twin_fock
 from .operators import validate_spin
 
 _GRID_TIE_TOL = 1e-12
 _CROSS_CHECK_TOL = 1e-10
+# per unit of max(1, J): an exact-zero optimum (J=1 var_y_min) is round-off
+_CROSS_CHECK_ROUND_OFF = 8 * np.finfo(float).eps
 _INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
 _INV_PHI_SQ = (3 - math.sqrt(5)) / 2  # 1/phi^2
 
 
 def _fidelity_to(make_target):
-    """|<target|state>|^2, with the target built once per scan."""
+    """|<target|R psi>|^2 = |<R^dag target|psi>|^2, with the bra built once per scan."""
     def bind(j):
         target = make_target(j)
-        bra = np.conj(target.amplitudes)
+        bra = np.conj(target.amplitudes) @ _rotation_matrix(j, "y", math.pi / 2)
         return (lambda block: np.abs(bra @ block) ** 2,
                 lambda state: fidelity(target, state))
     return bind
 
 
-def _deviation(axis):
+def _deviation(axis, twisted_axis):
     """<(dJ_axis)^2>^{1/2}, the unit the scaling laws are stated in."""
     def bind(j):
-        return (lambda block: np.sqrt(column_variances(j, block, axis)),
+        return (lambda block: np.sqrt(column_variances(j, block, twisted_axis)),
                 lambda state: math.sqrt(getattr(spin_moments(state), "variance_" + axis)))
     return bind
 
 
 # metric -> (+1 maximize or -1 minimize, evaluator).  evaluator(j) builds
-# what the metric needs at spin j once (a fidelity target) and returns the
-# metric of a (2J+1, k) block of post-rotation columns and of one state.
+# what the metric needs at spin j once and returns the metric of a (2J+1, k)
+# block of twisted states psi(tau) and of one post-rotation state R psi.
+# The block side carries R: fidelities take the bra target^dag R, and since
+# R^dag Jz R = -Jx and R^dag Jy R = Jy, dJz becomes dJx and dJy stays.
 METRICS = {
     "fid_ewss": (1.0, _fidelity_to(make_ewss)),
     "fid_tfs": (1.0, _fidelity_to(make_twin_fock)),
-    "var_z_max": (1.0, _deviation("z")),
-    "var_y_min": (-1.0, _deviation("y")),
+    "var_z_max": (1.0, _deviation("z", "x")),
+    "var_y_min": (-1.0, _deviation("y", "y")),
 }
 
 
@@ -92,6 +99,9 @@ class ScanSpec:
         if self.metric == "fid_tfs" and abs(self.j - round(self.j)) > 1e-9:
             raise ValueError("metric fid_tfs is undefined at half-integer j "
                              "(twin-Fock requires integer J)")
+        for name in ("tau_min", "tau_max", "refine_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (0 <= self.tau_min < self.tau_max):
             raise ValueError("need 0 <= tau_min < tau_max")
         if self.n_grid < 8:
@@ -107,22 +117,12 @@ class ScanSpec:
                    n_grid=n_grid, refine_tol=1e-6 * tau_max)
 
     def to_json_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "metric": self.metric,
-            "tau_min": self.tau_min,
-            "tau_max": self.tau_max,
-            "n_grid": self.n_grid,
-            "refine_tol": self.refine_tol,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "ScanSpec":
-        return cls(j=float(record["j"]), metric=record["metric"],
-                   tau_min=float(record["tau_min"]),
-                   tau_max=float(record["tau_max"]),
-                   n_grid=int(record["n_grid"]),
-                   refine_tol=float(record["refine_tol"]))
+        """Each field converted to its annotated type (float, str or int)."""
+        return cls(**{f.name: f.type(record[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,9 +191,11 @@ def scan_tau(spec: ScanSpec, cfg: PropagatorConfig = DEFAULT_CONFIG) -> ScanResu
     """Coarse grid plus golden-section refinement of one metric."""
     sign, evaluator = METRICS[spec.metric]
     on_block, on_state = evaluator(spec.j)
+    initial = basis_state(spec.j, spec.j)
+    gen = _shared_generator(float(spec.j), DEFAULT_PROTOCOL.chi, DEFAULT_PROTOCOL.gamma)
 
     def grid_values(taus):
-        return on_block(make_sss_many(spec.j, taus, DEFAULT_PROTOCOL, cfg))
+        return on_block(evolve_many(initial, gen, taus, cfg))
 
     def f(tau):
         return float(grid_values([tau])[0])
@@ -213,7 +215,8 @@ def scan_tau(spec: ScanSpec, cfg: PropagatorConfig = DEFAULT_CONFIG) -> ScanResu
     else:
         tau_star, value_star = float(taus[idx]), float(values[idx])
     check = on_state(squeezed_state(spec.j, tau_star, cfg))
-    if not abs(check - value_star) <= _CROSS_CHECK_TOL * max(abs(check), abs(value_star)):
+    if not abs(check - value_star) <= (_CROSS_CHECK_TOL * max(abs(check), abs(value_star))
+                                       + _CROSS_CHECK_ROUND_OFF * max(1.0, spec.j)):
         raise PropagationError(
             f"{spec.metric} at tau={tau_star!r}: grid path gives {value_star!r}, "
             f"single-state path {check!r}")

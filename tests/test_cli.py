@@ -160,6 +160,15 @@ class TestScanCommand:
         assert result.exit_code == 1
         assert "integer" in result.output
 
+    @pytest.mark.parametrize("flag,name", [("--tau-max", "tau_max"),
+                                           ("--refine-tol", "refine_tol")])
+    def test_non_finite_setting_fails_by_name(self, runner, tmp_path, flag, name):
+        result = runner.invoke(main, ["scan", "--j", "2", "--metric", "fid_ewss",
+                                      flag, "inf", "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert f"{name} must be finite" in result.output
+        assert not (tmp_path / "scan_fid_ewss_j2.csv").exists()
+
 
 class TestFitCommand:
     def test_recovers_known_model(self, runner, tmp_path):
@@ -236,6 +245,32 @@ class TestConfigPrecedence:
                                       "--kind", "ewss", "--j", "1"])
         assert result.exit_code != 0
         assert "key = value" in result.output
+
+    def test_unknown_key_rejected_with_location(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# typo below\nmetod = krylov\n")
+        result = runner.invoke(main, ["--config", str(cfg), "state",
+                                      "--kind", "ewss", "--j", "1", "--out", str(tmp_path)])
+        assert result.exit_code != 0
+        assert f"{cfg}:2: unknown key 'metod'" in result.output
+        assert not (tmp_path / "state_ewss_j1.json").exists()
+
+    @pytest.mark.parametrize("line,args", [
+        ("grid = abc", ["scan", "--j", "2", "--metric", "fid_ewss"]),
+        ("grid = abc", ["qpd", "--j", "1", "--kind", "ewss"]),
+        ("tol = tiny", ["evolve", "--j", "2", "--tau", "0.1"]),
+        ("format = jsn", ["state", "--kind", "ewss", "--j", "1"]),
+        ("method = krylv", ["state", "--kind", "ewss", "--j", "1"]),
+    ])
+    def test_value_that_fails_to_convert_names_key_and_file(self, runner, tmp_path,
+                                                            line, args):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out = {tmp_path / 'out'}\n{line}\n")
+        result = runner.invoke(main, ["--config", str(cfg)] + args)
+        key = line.split(" = ")[0]
+        assert result.exit_code == 1
+        assert f"{cfg}:2: bad {key} value" in result.output
+        assert not (tmp_path / "out").exists()
 
 
 class TestRoundTrips:

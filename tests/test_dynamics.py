@@ -15,7 +15,6 @@ from tactsim.dynamics import (
     evolve,
     evolve_many,
     make_sss,
-    make_sss_many,
     rotate,
     tact_generator,
 )
@@ -240,14 +239,6 @@ class TestEvolveMany:
         with pytest.raises(ValueError, match="does not match"):
             evolve_many(basis_state(1, 1), tact_generator(2), [0.1])
 
-    def test_sss_columns_match_make_sss(self):
-        taus = np.linspace(0, default_tau_max(20), 5)
-        block = make_sss_many(20, taus)
-        for k, tau in enumerate(taus):
-            assert np.max(np.abs(block[:, k] - make_sss(20, tau).amplitudes)) <= 1e-12
-        with pytest.raises(ValueError, match="nonnegative"):
-            make_sss_many(20, [0.1, -0.1])
-
     def test_generator_built_once_per_spin(self, monkeypatch):
         built = []
 
@@ -259,7 +250,6 @@ class TestEvolveMany:
         dynamics._shared_generator.cache_clear()
         for tau in (0.01, 0.02, 0.03):
             make_sss(7, tau)
-        make_sss_many(7, [0.04, 0.05])
         assert len(built) == 1
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,14 @@ def test_j1_max_fluctuation_at_quarter_pi():
     res = scan_tau(spec)
     assert res.tau_star == pytest.approx(math.pi / 4, abs=1e-6)
     assert res.value_star == pytest.approx(1.0, abs=1e-8)
+
+
+def test_j1_min_fluctuation_reaches_zero_at_quarter_pi():
+    # dJy of the J=1 protocol vanishes exactly at pi/4, so the optimum is
+    # round-off on both the grid and the single-state path
+    res = scan_tau(ScanSpec.auto(1, "var_y_min"))
+    assert res.tau_star == pytest.approx(math.pi / 4, abs=1e-6)
+    assert 0.0 <= res.value_star <= 1e-6
 
 
 def test_deterministic_repeat():
@@ -57,6 +66,17 @@ def test_spec_validation():
         ScanSpec(j=2, metric="fid_ewss", tau_min=0.0, tau_max=1.0, n_grid=4)
     with pytest.raises(ValueError, match="metric"):
         ScanSpec(j=2, metric="squeeze", tau_min=0.0, tau_max=1.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("name", ["tau_max", "refine_tol"])
+def test_non_finite_spec_named(name, value):
+    record = ScanSpec(j=2, metric="fid_ewss", tau_min=0.0, tau_max=1.0).to_json_dict()
+    record[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ScanSpec(**record)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ScanSpec.from_json_dict(record)
 
 
 def test_auto_window_contains_reference_times():
@@ -167,3 +187,16 @@ def test_optimum_disagreeing_with_single_state_path_raises(monkeypatch):
                         lambda j, tau, cfg: make_sss(j, 1.01 * tau, cfg=cfg))
     with pytest.raises(PropagationError, match="single-state"):
         scan_tau(ScanSpec.auto(10, "fid_tfs", n_grid=64))
+
+
+@pytest.mark.parametrize("metric", sorted(PER_STATE))
+def test_small_disagreement_beyond_round_off_raises(monkeypatch, metric):
+    # 1e-9 relative is ten times the cross-check bound and far above its
+    # round-off allowance at J=50
+    drift = 1.0 + 1e-9
+    monkeypatch.setattr(scan, "fidelity", lambda target, state: drift * fidelity(target, state))
+    monkeypatch.setattr(scan, "spin_moments", lambda state: dataclasses.replace(
+        spin_moments(state), variance_z=drift**2 * spin_moments(state).variance_z,
+        variance_y=drift**2 * spin_moments(state).variance_y))
+    with pytest.raises(PropagationError, match="single-state"):
+        scan_tau(ScanSpec.auto(50, metric, n_grid=128))
