@@ -8,10 +8,8 @@ scaling laws.
 """
 
 from .dynamics import (
-    DEFAULT_CONFIG,
     DEFAULT_PROTOCOL,
     PropagationError,
-    PropagatorConfig,
     TwistProtocol,
     evolve,
     evolve_many,
@@ -50,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BandedOperator",
     "CoherentSpinParams",
-    "DEFAULT_CONFIG",
     "DEFAULT_PROTOCOL",
     "FieldEstimationParams",
     "FisherBound",
@@ -58,7 +55,6 @@ __all__ = [
     "FitModel",
     "FitResult",
     "PropagationError",
-    "PropagatorConfig",
     "QpdGrid",
     "REFERENCE_LAWS",
     "ReproductionReport",

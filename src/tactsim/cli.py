@@ -6,8 +6,9 @@ CSV output uses 17 significant digits so reports are diff-stable.
 
 Option precedence: command-line flags override the --config file, which
 overrides built-in defaults.  The config file is flat ``key = value``
-text; keys match option names (method, tol, format, out, grid), and an
-unknown key or a value that does not convert fails naming path:line.
+text; keys match option names (format, out, grid), and an unknown key
+or a value that does not convert fails naming path:line.  A number list
+(--j-list, --init) that does not convert fails naming its option.
 """
 
 import json
@@ -17,14 +18,7 @@ from pathlib import Path
 
 import click
 
-from .dynamics import (
-    PropagationError,
-    PropagatorConfig,
-    TwistProtocol,
-    evolve,
-    make_sss,
-    tact_generator,
-)
+from .dynamics import PropagationError, TwistProtocol, evolve, make_sss, tact_generator
 from .fitting import FitError, fit
 from .observables import prob_distribution, qpd
 from .reproduce import run_reproduction
@@ -40,10 +34,9 @@ from .states import (
 )
 
 STATE_KINDS = ("css", "ewss", "tfs", "cat", "sss")
-_METHODS = ("auto", "dense_expm", "krylov")
 _FORMATS = ("json", "csv", "both")
 # config key -> the values it accepts (None: any, converted where it is used)
-_CONFIG_KEYS = {"method": _METHODS, "tol": None, "format": _FORMATS, "out": None, "grid": None}
+_CONFIG_KEYS = {"format": _FORMATS, "out": None, "grid": None}
 
 
 def _fmt(x) -> str:
@@ -97,6 +90,10 @@ def _parse_grid(grid):
     return n_phi, n_theta
 
 
+def _parse_floats(text):
+    return [float(part) for part in str(text).split(",")]
+
+
 class _Settings:
     """Resolved defaults: CLI flag > config file > built-in default."""
 
@@ -118,14 +115,6 @@ class _Settings:
 
 pass_settings = click.make_pass_decorator(_Settings)
 
-_METHOD_OPTION = click.option(
-    "--method", type=click.Choice(_METHODS), default=None,
-    help="Propagator. auto (default): one cached tridiagonal eigensolve per "
-         "parity block, for parity-preserving skew-hermitian generators only; "
-         "dense_expm and krylov are the cross-check oracles.")
-_TOL_OPTION = click.option(
-    "--tol", type=float, default=None,
-    help="Krylov error tolerance (binds only --method krylov).")
 _OUT_OPTION = click.option("--out", type=click.Path(file_okay=False), default=None)
 _FORMAT_OPTION = click.option("--format", "fmt", type=click.Choice(_FORMATS), default=None)
 
@@ -139,12 +128,6 @@ def main(ctx, config):
     ctx.obj = _Settings(_load_config(config))
 
 
-def _propagator(settings, method, tol):
-    method = settings.get("method", method, "auto")
-    tol = settings.get("tol", tol, 1e-10, float)
-    return PropagatorConfig(method=method, tolerance=tol)
-
-
 def _out_dir(settings, out) -> Path:
     out = settings.get("out", out, ".")
     path = Path(out)
@@ -152,7 +135,7 @@ def _out_dir(settings, out) -> Path:
     return path
 
 
-def _build_state(kind, j, alpha, beta, tau, chi, gamma, cfg) -> SpinState:
+def _build_state(kind, j, alpha, beta, tau, chi, gamma) -> SpinState:
     if kind == "css":
         return make_css(j, CoherentSpinParams(alpha=alpha, beta=beta))
     if kind == "ewss":
@@ -163,7 +146,7 @@ def _build_state(kind, j, alpha, beta, tau, chi, gamma, cfg) -> SpinState:
         return make_cat(j)
     if kind == "sss":
         protocol = TwistProtocol(chi=chi, gamma=gamma)
-        return make_sss(j, tau=tau, protocol=protocol, cfg=cfg)
+        return make_sss(j, tau=tau, protocol=protocol)
     raise ValueError(f"unknown state kind {kind!r}")
 
 
@@ -195,17 +178,14 @@ def _fail(exc):
               help="Evolution time (sss only).")
 @click.option("--chi", type=float, default=1.0, show_default=True)
 @click.option("--gamma", type=float, default=0.0, show_default=True)
-@_METHOD_OPTION
-@_TOL_OPTION
 @_OUT_OPTION
 @_FORMAT_OPTION
 @pass_settings
-def state(settings, kind, j, alpha, beta, tau, chi, gamma, method, tol, out, fmt):
+def state(settings, kind, j, alpha, beta, tau, chi, gamma, out, fmt):
     """Construct a named state; write its JSON record and P(M) CSV."""
     try:
-        cfg = _propagator(settings, method, tol)
         fmt = settings.get("format", fmt, "both")
-        st = _build_state(kind, j, alpha, beta, tau, chi, gamma, cfg)
+        st = _build_state(kind, j, alpha, beta, tau, chi, gamma)
         prefix = f"state_{kind}_j{j:g}" + (f"_tau{tau:g}" if kind == "sss" else "")
         paths = _emit_state(_out_dir(settings, out), prefix, st, fmt)
     except (ValueError, PropagationError) as exc:
@@ -224,14 +204,11 @@ def state(settings, kind, j, alpha, beta, tau, chi, gamma, method, tol, out, fmt
 @click.option("--chi", type=float, default=1.0)
 @click.option("--gamma", type=float, default=0.0)
 @click.option("--grid", default=None, help="Resolution as NPHIxNTHETA.")
-@_METHOD_OPTION
-@_TOL_OPTION
 @_OUT_OPTION
 @pass_settings
-def qpd_cmd(settings, j, kind, tau, alpha, beta, chi, gamma, grid, method, tol, out):
+def qpd_cmd(settings, j, kind, tau, alpha, beta, chi, gamma, grid, out):
     """Quasi-probability distribution of a state on the Bloch sphere."""
     try:
-        cfg = _propagator(settings, method, tol)
         n_phi, n_theta = settings.get("grid", grid, (360, 180), _parse_grid)
         if kind is None and tau is None:
             raise ValueError("give --kind, or --tau for the squeezed state")
@@ -239,7 +216,7 @@ def qpd_cmd(settings, j, kind, tau, alpha, beta, chi, gamma, grid, method, tol, 
             kind = "sss"
         if kind == "sss" and tau is None:
             tau = 0.0
-        st = _build_state(kind, j, alpha, beta, tau, chi, gamma, cfg)
+        st = _build_state(kind, j, alpha, beta, tau, chi, gamma)
         grid_result = qpd(st, n_phi=n_phi, n_theta=n_theta)
         out_path = _out_dir(settings, out)
         prefix = f"qpd_{kind}_j{j:g}" + (f"_tau{tau:g}" if kind == "sss" else "")
@@ -257,18 +234,15 @@ def qpd_cmd(settings, j, kind, tau, alpha, beta, chi, gamma, grid, method, tol, 
 @click.option("--tau", type=float, required=True)
 @click.option("--chi", type=float, default=1.0, show_default=True)
 @click.option("--gamma", type=float, default=0.0, show_default=True)
-@_METHOD_OPTION
-@_TOL_OPTION
 @_OUT_OPTION
 @_FORMAT_OPTION
 @pass_settings
-def evolve_cmd(settings, j, tau, chi, gamma, method, tol, out, fmt):
+def evolve_cmd(settings, j, tau, chi, gamma, out, fmt):
     """Evolve |J,J> under the twisting generator (no final rotation)."""
     try:
-        cfg = _propagator(settings, method, tol)
         fmt = settings.get("format", fmt, "both")
         gen = tact_generator(j, chi=chi, gamma=gamma)
-        st = evolve(basis_state(j, j), gen, tau, cfg)
+        st = evolve(basis_state(j, j), gen, tau)
         prefix = f"evolved_j{j:g}_tau{tau:g}"
         paths = _emit_state(_out_dir(settings, out), prefix, st, fmt)
     except (ValueError, PropagationError) as exc:
@@ -284,15 +258,11 @@ def evolve_cmd(settings, j, tau, chi, gamma, method, tol, out, fmt):
 @click.option("--tau-max", type=float, default=None)
 @click.option("--grid", type=int, default=None, help="Coarse grid size.")
 @click.option("--refine-tol", type=float, default=None)
-@_METHOD_OPTION
-@_TOL_OPTION
 @_OUT_OPTION
 @pass_settings
-def scan_cmd(settings, j, metric, tau_min, tau_max, grid, refine_tol,
-             method, tol, out):
+def scan_cmd(settings, j, metric, tau_min, tau_max, grid, refine_tol, out):
     """Locate the evolution time optimizing one metric."""
     try:
-        cfg = _propagator(settings, method, tol)
         n_grid = settings.get("grid", grid, 512, int)
         base = ScanSpec.auto(j, metric, n_grid=n_grid)
         spec = ScanSpec(
@@ -302,7 +272,7 @@ def scan_cmd(settings, j, metric, tau_min, tau_max, grid, refine_tol,
             n_grid=n_grid,
             refine_tol=refine_tol if refine_tol is not None else base.refine_tol,
         )
-        result = scan_tau(spec, cfg)
+        result = scan_tau(spec)
         out_path = _out_dir(settings, out)
         prefix = f"scan_{metric}_j{j:g}"
         _write_csv(out_path / f"{prefix}.csv",
@@ -357,9 +327,7 @@ def fit_cmd(settings, family, data_path, init, out):
     """Fit one scaling-law family to (J, value) pairs from a CSV file."""
     try:
         rows = _read_pairs(data_path)
-        init_params = None
-        if init is not None:
-            init_params = [float(v) for v in init.split(",")]
+        init_params = settings.get("init", init, None, _parse_floats)
         result = fit(family, rows, init=init_params)
         out_path = _out_dir(settings, out)
         _write_json(out_path / f"fit_{family}.json", result.to_json_dict())
@@ -372,18 +340,15 @@ def fit_cmd(settings, family, data_path, init, out):
 @click.option("--j-list", default="5,10,20,50,100,200,400", show_default=True,
               help="Ascending integer J values to sweep.")
 @click.option("--grid", type=int, default=None, help="Coarse grid size.")
-@_METHOD_OPTION
-@_TOL_OPTION
 @_OUT_OPTION
 @pass_settings
-def reproduce_cmd(settings, j_list, grid, method, tol, out):
+def reproduce_cmd(settings, j_list, grid, out):
     """Run the full sweep-and-fit pipeline and compare against the
     published reference coefficients; exit nonzero if a check fails."""
     try:
-        cfg = _propagator(settings, method, tol)
         n_grid = settings.get("grid", grid, 512, int)
-        js = [float(part) for part in str(j_list).split(",") if part.strip()]
-        report = run_reproduction(js, cfg=cfg, n_grid=n_grid)
+        js = settings.get("j-list", j_list, None, _parse_floats)
+        report = run_reproduction(js, n_grid=n_grid)
         out_path = _out_dir(settings, out)
         _write_json(out_path / "report.json", report.to_json_dict())
         (out_path / "report.txt").write_text(report.to_text() + "\n")

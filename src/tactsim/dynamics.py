@@ -3,17 +3,14 @@
 Units: hbar = 1, so the evolution operator for the twisting generator G is
 exp(G*tau) with G skew-hermitian and tau dimensionless when chi = 1.
 
-Generators that couple only M <-> M+-2 are propagated per parity block,
-so amplitudes of the untouched parity stay exactly zero.  Each parity
-block of such a generator is tridiagonal.  The default route exploits this:
-
-* ``auto``: one cached eigendecomposition per parity block, H = iG =
-  P V diag(lam) V^T P* with a unit phase gauge P and
-  ``scipy.linalg.eigh_tridiagonal``; then
-  exp(-i t H) v = P V (exp(-i lam t) * V^T P* v) for every t at
-  round-off accuracy; ``evolve_many`` takes a whole vector of t in one
-  product.  ``auto`` takes no other generator: it raises ValueError and
-  names the oracles below, which take any generator.
+``evolve_many`` is the one propagator, for parity-preserving
+skew-hermitian generators (any other raises ValueError).  It propagates
+each M-parity block on its own, so amplitudes of the untouched parity stay
+exactly zero.  Each block of H = iG is tridiagonal and gets one cached
+eigendecomposition H = P V diag(lam) V^T P*, with a unit phase gauge P and
+``scipy.linalg.eigh_tridiagonal``; then
+exp(-i t H) v = P V (exp(-i lam t) * V^T P* v) for a whole vector of t in
+one product, at round-off accuracy.
 
 Rotations need no eigensolve.  exp(-i pi/2 Jy) is the real Wigner matrix
 Delta = d^J(pi/2), built once per J by a three-term recursion in O(J^2);
@@ -21,18 +18,17 @@ its columns are the Jx eigenvectors with the exact eigenvalues M, so every
 other axis and angle is a phase-dressed product with Delta (see
 ``_rotation_cache``).  Rotation matrices are cached read-only.
 
-Two independent routes stay selectable as oracles and are cross-checked
-against ``auto`` by the tests:
+Two independent oracles take any generator on the whole dense matrix; the
+tests cross-check the propagator against them:
 
-* ``dense_expm``: scaling-and-squaring on the dense generator (scipy).
-* ``krylov``: Lanczos exponential action with full reorthogonalization and
-  adaptive substepping (the real part is returned for a real generator
-  and state, where the exponential is real).  The substep error is controlled through the
-  standard residual estimate beta0 * beta_{m+1} * dt * |y_m|; if the
-  accumulated estimate cannot be brought below the requested tolerance
-  within ``max_substeps`` the propagation fails loudly instead of
-  returning an inaccurate state.  The tolerance and the substep cap bind
-  only this route.
+* ``dense_expm_evolve``: scaling-and-squaring (scipy; Moler & Van Loan,
+  SIAM Rev. 45, 3 (2003)).
+* ``krylov_evolve``: Lanczos exponential action (Hochbruck & Lubich,
+  SINUM 34, 1911 (1997)) with full reorthogonalization and adaptive
+  substepping, its substep error controlled through the residual estimate
+  beta0 * beta_{m+1} * dt * |y_m|.  If the accumulated estimate cannot be
+  brought below ``_KRYLOV_TOL`` within ``_KRYLOV_MAX_SUBSTEPS`` it fails
+  loudly instead of returning an inaccurate state.
 """
 
 import math
@@ -57,6 +53,8 @@ from .states import SpinState, basis_state
 
 _KRYLOV_M = 40
 _KRYLOV_STEP_BUDGET = 0.3  # target ||G||*dt per substep, in units of m
+_KRYLOV_TOL = 1e-10
+_KRYLOV_MAX_SUBSTEPS = 4096
 _EVOLVE_NORM_TOL = 1e-10
 _EIGEN_CACHE_SIZE = 32  # twisting parity blocks: one per (J, chi, gamma) from |J,J>
 _ROTATION_CACHE_SIZE = 32
@@ -110,30 +108,6 @@ def _axis_key(axis):
     return tuple(float(c) for c in vec)
 
 
-@dataclass(frozen=True)
-class PropagatorConfig:
-    """How to apply the matrix exponential.
-
-    method "auto" applies the cached tridiagonal eigendecomposition to each
-    parity block of a parity-preserving skew-hermitian generator, and
-    rejects any other generator.  "dense_expm" and "krylov" are the oracle
-    routes, for any generator; tolerance and max_substeps bind only "krylov".
-    """
-
-    method: str = "auto"
-    tolerance: float = 1e-10
-    max_substeps: int = 4096
-
-    def __post_init__(self):
-        if self.method not in ("auto", "dense_expm", "krylov"):
-            raise ValueError(f"unknown propagation method {self.method!r}")
-        if not (0.0 < self.tolerance <= 1e-6):
-            raise ValueError("tolerance must lie in (0, 1e-6]")
-        if int(self.max_substeps) < 1:
-            raise ValueError("max_substeps must be positive")
-
-
-DEFAULT_CONFIG = PropagatorConfig()
 DEFAULT_PROTOCOL = TwistProtocol()
 
 
@@ -197,7 +171,7 @@ def _lanczos_step(g, v, dt, m):
     return out, err
 
 
-def _krylov_expm_action(g, v, tau, tolerance, max_substeps):
+def _krylov_expm_action(g, v, tau):
     """exp(tau*g) v; real for a real g and v, since exp(tau*g) is then real."""
     real = not np.iscomplexobj(g) and not np.any(np.imag(v))
     work = np.asarray(v, dtype=complex)
@@ -209,19 +183,18 @@ def _krylov_expm_action(g, v, tau, tolerance, max_substeps):
         sup_norm = float(np.abs(g).sum(axis=1).max())
         n_sub = max(1, math.ceil(abs(tau) * sup_norm / (_KRYLOV_STEP_BUDGET * m)))
     while True:
-        if n_sub > max_substeps:
-            raise PropagationError(
-                f"accuracy {tolerance:g} not reached within {max_substeps} substeps"
-            )
+        if n_sub > _KRYLOV_MAX_SUBSTEPS:
+            raise PropagationError(f"accuracy {_KRYLOV_TOL:g} not reached "
+                                   f"within {_KRYLOV_MAX_SUBSTEPS} substeps")
         dt = tau / n_sub
         w = work
         err = 0.0
         for _ in range(n_sub):
             w, e = _lanczos_step(g, w, dt, m)
             err += e
-            if err > tolerance:
+            if err > _KRYLOV_TOL:
                 break
-        if err <= tolerance:
+        if err <= _KRYLOV_TOL:
             return w.real if real else w
         n_sub *= 2
 
@@ -293,71 +266,77 @@ def _cached_eigensystem(diag: bytes, upper: bytes) -> _TridiagonalExp:
     return _TridiagonalExp(np.frombuffer(diag), np.frombuffer(upper, dtype=complex))
 
 
-def evolve_many(state: SpinState, generator: BandedOperator, taus,
-                cfg: PropagatorConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """exp(G*tau) applied to the state for every tau, as (dim, len(taus)) columns.
-
-    The generator must act on the same spin J and every tau must be finite.
-    A parity-preserving generator propagates each M-parity sector on its
-    own, so an empty sector stays exactly zero.  Under "auto" the generator
-    must also be skew-hermitian, and each non-empty sector costs one product
-    with the cached eigensystem of H = iG there; the oracle methods
-    propagate each tau separately.  Every column's norm is verified to 1
-    within 1e-10 and divided out; a column that fails raises
-    PropagationError rather than returning a silently inaccurate state.
-    """
+def _checked_taus(state: SpinState, generator: BandedOperator, taus) -> np.ndarray:
+    """taus as a 1-D float array, once the generator's spin matches the
+    state's and every tau is finite."""
     if generator.j != state.j:
         raise ValueError(
             f"generator spin {generator.j} does not match state spin {state.j}"
         )
     taus = np.asarray(taus, dtype=float)
+    if taus.ndim != 1:
+        raise ValueError(f"taus must be a 1-D sequence of times, got shape {taus.shape}")
     if not np.all(np.isfinite(taus)):
         raise ValueError("tau must be finite")
-    spectral = cfg.method == "auto"
-    if spectral and not (generator.even_offsets_only
-                         and generator.hermiticity_tag == SKEW_HERMITIAN):
-        raise ValueError("method 'auto' takes only parity-preserving skew-hermitian "
-                         "generators; use 'dense_expm' or 'krylov'")
+    return taus
+
+
+def evolve_many(state: SpinState, generator: BandedOperator, taus) -> np.ndarray:
+    """exp(G*tau) applied to the state for every tau, as (dim, len(taus)) columns.
+
+    The generator must act on the same spin J, be skew-hermitian and couple
+    only M <-> M+-2; every tau must be finite.  Each non-empty M-parity
+    sector costs one product with the cached eigensystem of H = iG there,
+    and an empty sector stays exactly zero.  Every column's norm is
+    verified to 1 within 1e-10 and divided out; a column that fails raises
+    PropagationError rather than returning a silently inaccurate state.
+    """
+    taus = _checked_taus(state, generator, taus)
+    if not (generator.even_offsets_only and generator.hermiticity_tag == SKEW_HERMITIAN):
+        raise ValueError("evolve_many takes only parity-preserving skew-hermitian "
+                         "generators; the oracles dense_expm_evolve and "
+                         "krylov_evolve take any")
     v, bands, zeros = state.amplitudes, generator.bands, np.zeros(state.dim)
-    if not spectral:
-        g = generator.to_dense()
-        g = g.real if generator.is_real else g
-    sectors = ((slice(0, None, 2), slice(1, None, 2)) if generator.even_offsets_only
-               else (slice(None),))
     out = np.zeros((state.dim, len(taus)), dtype=complex)
-    for sector in sectors:
+    for sector in (slice(0, None, 2), slice(1, None, 2)):
         if not np.any(v[sector]):
             continue
-        if spectral:
-            # H = iG on this parity sector is tridiagonal: offsets 0 and 2 of G;
-            # its eigensystem is keyed on the band content, so equal blocks share it
-            diag = (1j * bands.get(0, zeros)[sector]).real
-            upper = 1j * bands.get(2, zeros[2:])[sector]
-            out[sector] = _cached_eigensystem(diag.tobytes(), upper.tobytes()).apply(
-                taus, v[sector])
-        else:
-            block = np.ascontiguousarray(g[sector, sector])
-            for k, tau in enumerate(taus):
-                out[sector, k] = (
-                    scipy.linalg.expm(block * tau) @ v[sector] if cfg.method == "dense_expm"
-                    else _krylov_expm_action(block, v[sector], tau, cfg.tolerance,
-                                             int(cfg.max_substeps)))
-    if spectral:
-        return _unit_columns(out, "propagated")
-    # one column at a time, so each equals its own ``evolve`` bit for bit
-    for column in out.T:
-        column[:] = _unit_columns(column, "propagated")
-    return out
+        # H = iG on this parity sector is tridiagonal: offsets 0 and 2 of G;
+        # its eigensystem is keyed on the band content, so equal blocks share it
+        diag = (1j * bands.get(0, zeros)[sector]).real
+        upper = 1j * bands.get(2, zeros[2:])[sector]
+        out[sector] = _cached_eigensystem(diag.tobytes(), upper.tobytes()).apply(
+            taus, v[sector])
+    return _unit_columns(out, "propagated")
 
 
-def evolve(state: SpinState, generator: BandedOperator, tau,
-           cfg: PropagatorConfig = DEFAULT_CONFIG) -> SpinState:
+def evolve(state: SpinState, generator: BandedOperator, tau) -> SpinState:
     """Apply exp(G*tau) to the state: ``evolve_many`` at the single time tau.
 
     tau = 0 returns the input unchanged once the arguments are checked.
     """
-    amplitudes = evolve_many(state, generator, [tau], cfg)[:, 0]
+    amplitudes = evolve_many(state, generator, [tau])[:, 0]
     return state if tau == 0.0 else _spin_state(state.j, amplitudes)
+
+
+def _oracle_evolve(state, generator, tau, action) -> SpinState:
+    """action(g, v, tau) = exp(tau*g) v on the whole dense generator, with
+    the checks of ``evolve_many``; any generator is taken."""
+    tau = _checked_taus(state, generator, [tau])[0]
+    g = generator.to_dense()
+    out = action(g.real if generator.is_real else g, state.amplitudes, tau)
+    return _spin_state(state.j, _unit_columns(out, "propagated"))
+
+
+def dense_expm_evolve(state: SpinState, generator: BandedOperator, tau) -> SpinState:
+    """Oracle: exp(G*tau) applied to the state by scaling-and-squaring."""
+    return _oracle_evolve(state, generator, tau,
+                          lambda g, v, t: scipy.linalg.expm(g * t) @ v)
+
+
+def krylov_evolve(state: SpinState, generator: BandedOperator, tau) -> SpinState:
+    """Oracle: exp(G*tau) applied to the state by a substepped Lanczos action."""
+    return _oracle_evolve(state, generator, tau, _krylov_expm_action)
 
 
 def _wigner_quarter(two_j):
@@ -464,8 +443,7 @@ def _shared_generator(j, chi, gamma) -> BandedOperator:
     return tact_generator(j, chi=chi, gamma=gamma)
 
 
-def make_sss(j, tau=None, protocol: TwistProtocol = DEFAULT_PROTOCOL,
-             cfg: PropagatorConfig = DEFAULT_CONFIG) -> SpinState:
+def make_sss(j, tau=None, protocol: TwistProtocol = DEFAULT_PROTOCOL) -> SpinState:
     """Squeeze |J,J> for time tau, then apply the protocol rotation.
 
     This is the canonical post-rotation squeezed state the squeezing
@@ -478,5 +456,5 @@ def make_sss(j, tau=None, protocol: TwistProtocol = DEFAULT_PROTOCOL,
         raise ValueError("tau must be nonnegative and finite")
     initial = basis_state(j, j)
     gen = _shared_generator(float(j), protocol.chi, protocol.gamma)
-    evolved = evolve(initial, gen, tau, cfg)
+    evolved = evolve(initial, gen, tau)
     return rotate(evolved, protocol.rotation_axis, protocol.rotation_angle)

@@ -15,7 +15,6 @@ pointwise agreement is well under a percent.
 import math
 from dataclasses import dataclass, field
 
-from .dynamics import DEFAULT_CONFIG, PropagatorConfig
 from .fitting import FitError, FitResult, fit
 from .observables import spin_moments
 from .reference import REFERENCE_LAWS, reference_value
@@ -145,11 +144,10 @@ def _validate_j_list(j_list):
     return j_list
 
 
-def run_reproduction(j_list, cfg: PropagatorConfig = DEFAULT_CONFIG,
-                     n_grid: int = 512) -> ReproductionReport:
+def run_reproduction(j_list, n_grid: int = 512) -> ReproductionReport:
     """Sweep, fit, compare, and check; every stage failure is recorded."""
     j_list = _validate_j_list(j_list)
-    sweep_rows = scaling_sweep(j_list, SWEEP_METRICS, cfg=cfg, n_grid=n_grid)
+    sweep_rows = scaling_sweep(j_list, SWEEP_METRICS, n_grid=n_grid)
     by_key = {(row.j, row.metric): row for row in sweep_rows}
 
     series = []
@@ -165,12 +163,12 @@ def run_reproduction(j_list, cfg: PropagatorConfig = DEFAULT_CONFIG,
                               ("fid_tfs", "dz_at_tau_tfs")):
             row = by_key[(j, metric)]
             if row.status == "ok":
-                state = squeezed_state(j, row.tau_star, cfg)
+                state = squeezed_state(j, row.tau_star)
                 entry[label] = math.sqrt(spin_moments(state).variance_z)
         series.append(entry)
 
     fit_rows = _fit_all_laws(series, j_list)
-    checks = _run_checks(j_list, by_key, series, fit_rows, cfg)
+    checks = _run_checks(j_list, by_key, series, fit_rows)
     notes = _ordering_notes(series)
     return ReproductionReport(j_list=j_list, sweep_rows=sweep_rows,
                               series=series, fit_rows=fit_rows,
@@ -203,7 +201,7 @@ def _fit_all_laws(series, j_list):
     return rows
 
 
-def _run_checks(j_list, by_key, series, fit_rows, cfg):
+def _run_checks(j_list, by_key, series, fit_rows):
     checks = []
     entry_by_j = {e["j"]: e for e in series}
 

@@ -9,23 +9,22 @@ bitwise-identical results.
 The metrics are defined on the protocol's output R psi(tau), with
 R = exp(-i pi/2 Jy), but a scan scores the twisted state psi(tau) itself
 and moves R onto the metric (see ``METRICS``): the grid is one
-``evolve_many`` block of |J,J>, under ``auto`` one product with the cached
-eigensystem of each parity block, and no state is rotated.  The optimum is
-re-evaluated on the single-state path (``squeezed_state``, which rotates);
-a disagreement above 1e-10 relative plus 8 eps max(1, J) raises
-PropagationError.  The ``dense_expm``/``krylov`` oracles stay selectable.
+``evolve_many`` block of |J,J>, one product with the cached eigensystem of
+each parity block, and no state is rotated.  The optimum is re-evaluated
+on the single-state path (``squeezed_state``, which rotates); a
+disagreement above 1e-10 relative plus 8 eps max(1, J) raises
+PropagationError.
 """
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .dynamics import (
-    DEFAULT_CONFIG,
     DEFAULT_PROTOCOL,
     PropagationError,
-    PropagatorConfig,
     _rotation_matrix,
     _shared_generator,
     evolve_many,
@@ -75,9 +74,9 @@ METRICS = {
 }
 
 
-def squeezed_state(j, tau, cfg: PropagatorConfig = DEFAULT_CONFIG):
+def squeezed_state(j, tau):
     """The canonical squeezed state (default protocol) at time tau."""
-    return make_sss(j, tau, DEFAULT_PROTOCOL, cfg)
+    return make_sss(j, tau, DEFAULT_PROTOCOL)
 
 
 @dataclass(frozen=True)
@@ -104,6 +103,8 @@ class ScanSpec:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (0 <= self.tau_min < self.tau_max):
             raise ValueError("need 0 <= tau_min < tau_max")
+        if not isinstance(self.n_grid, numbers.Integral):
+            raise ValueError(f"n_grid must be an integer, got {self.n_grid!r}")
         if self.n_grid < 8:
             raise ValueError("n_grid must be at least 8")
         if not self.refine_tol > 0:
@@ -121,8 +122,10 @@ class ScanSpec:
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "ScanSpec":
-        """Each field converted to its annotated type (float, str or int)."""
-        return cls(**{f.name: f.type(record[f.name]) for f in fields(cls)})
+        """Each float or str field converted to its type; n_grid is taken
+        as given, so a non-integral value fails instead of truncating."""
+        return cls(**{f.name: record[f.name] if f.type is int else f.type(record[f.name])
+                      for f in fields(cls)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +190,7 @@ def _golden_section(f, lo, hi, tol, sign):
     return (a + d) / 2 if yc > yd else (c + b) / 2
 
 
-def scan_tau(spec: ScanSpec, cfg: PropagatorConfig = DEFAULT_CONFIG) -> ScanResult:
+def scan_tau(spec: ScanSpec) -> ScanResult:
     """Coarse grid plus golden-section refinement of one metric."""
     sign, evaluator = METRICS[spec.metric]
     on_block, on_state = evaluator(spec.j)
@@ -195,7 +198,7 @@ def scan_tau(spec: ScanSpec, cfg: PropagatorConfig = DEFAULT_CONFIG) -> ScanResu
     gen = _shared_generator(float(spec.j), DEFAULT_PROTOCOL.chi, DEFAULT_PROTOCOL.gamma)
 
     def grid_values(taus):
-        return on_block(evolve_many(initial, gen, taus, cfg))
+        return on_block(evolve_many(initial, gen, taus))
 
     def f(tau):
         return float(grid_values([tau])[0])
@@ -214,7 +217,7 @@ def scan_tau(spec: ScanSpec, cfg: PropagatorConfig = DEFAULT_CONFIG) -> ScanResu
         tau_star, value_star = float(tau_ref), float(val_ref)
     else:
         tau_star, value_star = float(taus[idx]), float(values[idx])
-    check = on_state(squeezed_state(spec.j, tau_star, cfg))
+    check = on_state(squeezed_state(spec.j, tau_star))
     if not abs(check - value_star) <= (_CROSS_CHECK_TOL * max(abs(check), abs(value_star))
                                        + _CROSS_CHECK_ROUND_OFF * max(1.0, spec.j)):
         raise PropagationError(
@@ -248,10 +251,10 @@ class SweepRow:
         }
 
 
-def _run_row(j, metric, cfg, n_grid) -> SweepRow:
+def _run_row(j, metric, n_grid) -> SweepRow:
     try:
         spec = ScanSpec.auto(j, metric, n_grid=n_grid)
-        res = scan_tau(spec, cfg)
+        res = scan_tau(spec)
         return SweepRow(j=j, metric=metric, tau_star=res.tau_star,
                         value_star=res.value_star, grid_size=n_grid,
                         refine_tol=spec.refine_tol, status="ok", result=res)
@@ -263,8 +266,7 @@ def _run_row(j, metric, cfg, n_grid) -> SweepRow:
                         error=f"{type(exc).__name__}: {exc}")
 
 
-def scaling_sweep(j_list, metrics, cfg: PropagatorConfig = DEFAULT_CONFIG,
-                  n_grid: int = 512):
+def scaling_sweep(j_list, metrics, n_grid: int = 512):
     """Run scan_tau for every (j, metric) pair, in input order.
 
     Rows either complete or are explicitly marked failed: a ValueError or
@@ -275,4 +277,4 @@ def scaling_sweep(j_list, metrics, cfg: PropagatorConfig = DEFAULT_CONFIG,
     metrics = list(metrics)
     if not j_list or not metrics:
         raise ValueError("j_list and metrics must be nonempty")
-    return [_run_row(j, m, cfg, n_grid) for j in j_list for m in metrics]
+    return [_run_row(j, m, n_grid) for j in j_list for m in metrics]

@@ -206,6 +206,15 @@ class TestFitCommand:
         assert f"{data}:5:" in result.output
         assert not (tmp_path / "fit_shifted_power.json").exists()
 
+    def test_bad_init_names_option(self, runner, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("J,value\n10,6.0\n20,11.0\n30,16.0\n")
+        result = runner.invoke(main, ["fit", "--family", "shifted_power", "--data", str(data),
+                                      "--init", "1,a", "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert "--init: bad init value '1,a'" in result.output
+        assert not (tmp_path / "fit_shifted_power.json").exists()
+
     @pytest.mark.parametrize("bad_line", ["inf,3.0", "30,nan"])
     def test_non_finite_row_fails_with_location(self, runner, tmp_path, bad_line):
         data = tmp_path / "data.csv"
@@ -247,20 +256,34 @@ class TestConfigPrecedence:
         assert "key = value" in result.output
 
     def test_unknown_key_rejected_with_location(self, runner, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# typo below\nmetod = krylov\n")
-        result = runner.invoke(main, ["--config", str(cfg), "state",
-                                      "--kind", "ewss", "--j", "1", "--out", str(tmp_path)])
-        assert result.exit_code != 0
-        assert f"{cfg}:2: unknown key 'metod'" in result.output
-        assert not (tmp_path / "state_ewss_j1.json").exists()
+        # a typo, and the propagator keys that no longer exist
+        for line in ("metod = krylov", "method = krylov", "tol = 1e-10"):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"# unknown key below\n{line}\n")
+            result = runner.invoke(main, ["--config", str(cfg), "state",
+                                          "--kind", "ewss", "--j", "1", "--out", str(tmp_path)])
+            assert result.exit_code != 0
+            key = line.split(" = ")[0]
+            assert f"{cfg}:2: unknown key {key!r}" in result.output
+            assert not (tmp_path / "state_ewss_j1.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["state", "--kind", "sss", "--j", "2"],
+        ["qpd", "--j", "2", "--kind", "ewss"],
+        ["evolve", "--j", "2", "--tau", "0.1"],
+        ["scan", "--j", "2", "--metric", "fid_ewss"],
+        ["reproduce-paper", "--j-list", "2,3,4"],
+    ], ids=lambda args: args[0])
+    def test_method_option_is_gone(self, runner, tmp_path, args):
+        result = runner.invoke(main, args + ["--method", "auto", "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--method" in result.output
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("line,args", [
         ("grid = abc", ["scan", "--j", "2", "--metric", "fid_ewss"]),
         ("grid = abc", ["qpd", "--j", "1", "--kind", "ewss"]),
-        ("tol = tiny", ["evolve", "--j", "2", "--tau", "0.1"]),
         ("format = jsn", ["state", "--kind", "ewss", "--j", "1"]),
-        ("method = krylv", ["state", "--kind", "ewss", "--j", "1"]),
     ])
     def test_value_that_fails_to_convert_names_key_and_file(self, runner, tmp_path,
                                                             line, args):
@@ -345,6 +368,14 @@ class TestReproduceCommand:
                                       "--out", str(tmp_path)])
         assert result.exit_code == 1
         assert "ascending" in result.output
+
+    @pytest.mark.parametrize("j_list", ["5,a", "5,,10"])
+    def test_bad_j_list_names_option(self, runner, tmp_path, j_list):
+        result = runner.invoke(main, ["reproduce-paper", "--j-list", j_list,
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert f"--j-list: bad j-list value {j_list!r}" in result.output
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("j_list", ["5,inf", "5,nan"])
     def test_rejects_non_finite_j(self, runner, tmp_path, j_list):

@@ -9,11 +9,12 @@ import scipy.linalg
 from tactsim import dynamics
 from tactsim.dynamics import (
     PropagationError,
-    PropagatorConfig,
     TwistProtocol,
     _rotation_matrix,
+    dense_expm_evolve,
     evolve,
     evolve_many,
+    krylov_evolve,
     make_sss,
     rotate,
     tact_generator,
@@ -23,8 +24,8 @@ from tactsim.operators import SKEW_HERMITIAN, BandedOperator, build_operator, la
 from tactsim.reference import default_tau_max
 from tactsim.states import CoherentSpinParams, basis_state, make_css, make_twin_fock
 
-KRYLOV = PropagatorConfig(method="krylov")
-DENSE = PropagatorConfig(method="dense_expm")
+ORACLES = pytest.mark.parametrize("oracle", [dense_expm_evolve, krylov_evolve],
+                                  ids=["dense", "krylov"])
 
 
 class TestGenerator:
@@ -52,12 +53,12 @@ class TestGenerator:
 
 
 class TestEvolve:
-    @pytest.mark.parametrize("cfg", [DENSE, KRYLOV], ids=["dense", "krylov"])
-    def test_j1_closed_form(self, cfg):
+    @ORACLES
+    def test_j1_closed_form(self, oracle):
         g = tact_generator(1)
         start = basis_state(1, 1)
         for tau in np.linspace(0, 2.0, 20):
-            out = evolve(start, g, tau, cfg).amplitudes
+            out = oracle(start, g, tau).amplitudes
             expect = np.array([math.cos(tau), 0.0, math.sin(tau)])
             assert np.max(np.abs(out - expect)) < 1e-10
 
@@ -67,7 +68,7 @@ class TestEvolve:
 
     def test_j2_matches_dense_exponential_oracle(self):
         g = tact_generator(2)
-        out = evolve(basis_state(2, 2), g, 0.3, KRYLOV).amplitudes
+        out = krylov_evolve(basis_state(2, 2), g, 0.3).amplitudes
         oracle = scipy.linalg.expm(g.to_dense() * 0.3) @ np.eye(5)[0]
         assert np.max(np.abs(out - oracle)) < 1e-10
 
@@ -75,8 +76,8 @@ class TestEvolve:
         j = 3.5
         g = tact_generator(j)
         s = make_css(j, CoherentSpinParams(alpha=0.3, beta=1.2))
-        one = evolve(evolve(s, g, 0.11, KRYLOV), g, 0.07, KRYLOV)
-        two = evolve(s, g, 0.18, KRYLOV)
+        one = krylov_evolve(krylov_evolve(s, g, 0.11), g, 0.07)
+        two = krylov_evolve(s, g, 0.18)
         assert np.max(np.abs(one.amplitudes - two.amplitudes)) < 1e-9
 
     @pytest.mark.parametrize("j", [1, 5, 50])
@@ -93,8 +94,8 @@ class TestEvolve:
         assert np.all(out.amplitudes[1::2] == 0.0)
 
     def test_krylov_keeps_real_states_real(self):
-        # block dimension 51 exceeds the Krylov space, so substeps are taken
-        out = evolve(basis_state(100, 100), tact_generator(100), 0.02, KRYLOV)
+        # dimension 201 exceeds the Krylov space, so substeps are taken
+        out = krylov_evolve(basis_state(100, 100), tact_generator(100), 0.02)
         assert out.real_flag
 
     def test_reality_preserved_at_gamma_zero(self):
@@ -107,20 +108,21 @@ class TestEvolve:
         for j in (3, 5.5, 10):
             g = tact_generator(j)
             for tau in np.linspace(0, default_tau_max(j), 9):
-                a = evolve(basis_state(j, j), g, tau, KRYLOV).amplitudes
-                b = evolve(basis_state(j, j), g, tau, DENSE).amplitudes
+                a = krylov_evolve(basis_state(j, j), g, tau).amplitudes
+                b = dense_expm_evolve(basis_state(j, j), g, tau).amplitudes
                 assert np.max(np.abs(a - b)) < 1e-9
 
     def test_mismatched_spin_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
             evolve(basis_state(1, 1), tact_generator(2), 0.1)
 
-    def test_substep_cap_fails_loudly(self):
-        # block dimension 61 exceeds the Krylov space, so real substepping
-        # is needed and the cap of 1 cannot reach the tolerance
-        cfg = PropagatorConfig(method="krylov", tolerance=1e-12, max_substeps=1)
+    def test_substep_cap_fails_loudly(self, monkeypatch):
+        # dimension 121 exceeds the Krylov space, so real substepping is
+        # needed and the cap of 1 cannot reach the tolerance
+        monkeypatch.setattr(dynamics, "_KRYLOV_TOL", 1e-12)
+        monkeypatch.setattr(dynamics, "_KRYLOV_MAX_SUBSTEPS", 1)
         with pytest.raises(PropagationError, match="substeps"):
-            evolve(basis_state(60, 60), tact_generator(60), default_tau_max(60), cfg)
+            krylov_evolve(basis_state(60, 60), tact_generator(60), default_tau_max(60))
 
 
 class TestSpectralDefault:
@@ -133,8 +135,8 @@ class TestSpectralDefault:
         start = basis_state(j, j)
         for tau in np.linspace(0, default_tau_max(j), 4)[1:]:
             auto = evolve(start, g, tau).amplitudes
-            for cfg in (DENSE, KRYLOV):
-                oracle = evolve(start, g, tau, cfg).amplitudes
+            for oracle_evolve in (dense_expm_evolve, krylov_evolve):
+                oracle = oracle_evolve(start, g, tau).amplitudes
                 assert np.max(np.abs(auto - oracle)) <= 1e-12
 
     def test_general_start_state_matches_dense(self):
@@ -143,7 +145,7 @@ class TestSpectralDefault:
         s = make_css(j, CoherentSpinParams(alpha=0.3, beta=1.2))
         for tau in (0.01, 0.2, 1.0):
             auto = evolve(s, g, tau).amplitudes
-            dense = evolve(s, g, tau, DENSE).amplitudes
+            dense = dense_expm_evolve(s, g, tau).amplitudes
             assert np.max(np.abs(auto - dense)) <= 1e-12
 
     @pytest.mark.parametrize("axis", ["x", "y", (0.48, 0.6, 0.64), (0.0, -1.0, 0.0)])
@@ -189,8 +191,8 @@ def _minus_i_jx(j):
 
 
 class TestAutoBoundary:
-    """``auto`` takes only parity-preserving skew-hermitian generators; the
-    oracles take any generator."""
+    """The propagator takes only parity-preserving skew-hermitian generators;
+    the oracles take any generator."""
 
     @pytest.mark.parametrize("make_generator", [_minus_i_jx, lambda j: build_operator(j, "Jz")],
                              ids=["odd_offsets", "hermitian"])
@@ -199,14 +201,14 @@ class TestAutoBoundary:
             with pytest.raises(ValueError, match="dense_expm"):
                 propagate(basis_state(3, 3), make_generator(3), 0.2)
 
-    @pytest.mark.parametrize("cfg", [DENSE, KRYLOV], ids=["dense", "krylov"])
+    @ORACLES
     @pytest.mark.parametrize("j", [0.5, 3, 7.5, 50])
-    def test_oracles_match_x_rotation(self, j, cfg):
+    def test_oracles_match_x_rotation(self, j, oracle):
         s = make_css(j, CoherentSpinParams(alpha=0.3, beta=1.2))
         g = _minus_i_jx(j)
         for tau in (0.4, math.pi / 2, 2.9):
-            oracle = evolve(s, g, tau, cfg).amplitudes
-            assert np.max(np.abs(oracle - rotate(s, "x", tau).amplitudes)) <= 1e-12
+            oracle_out = oracle(s, g, tau).amplitudes
+            assert np.max(np.abs(oracle_out - rotate(s, "x", tau).amplitudes)) <= 1e-12
 
 
 class TestEvolveMany:
@@ -221,13 +223,6 @@ class TestEvolveMany:
             for k, tau in enumerate(taus):
                 assert np.max(np.abs(block[:, k] - evolve(start, g, tau).amplitudes)) <= 1e-12
 
-    @pytest.mark.parametrize("cfg", [DENSE, KRYLOV], ids=["dense", "krylov"])
-    def test_oracles_stack_evolve_columns(self, cfg):
-        g = tact_generator(5, gamma=0.3)
-        block = evolve_many(basis_state(5, 5), g, [0.05, 0.2], cfg)
-        for k, tau in enumerate([0.05, 0.2]):
-            assert np.array_equal(block[:, k], evolve(basis_state(5, 5), g, tau, cfg).amplitudes)
-
     @pytest.mark.parametrize("tau", [math.nan, math.inf])
     def test_non_finite_tau_rejected_up_front(self, tau):
         with warnings.catch_warnings():
@@ -238,6 +233,11 @@ class TestEvolveMany:
     def test_mismatched_spin_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
             evolve_many(basis_state(1, 1), tact_generator(2), [0.1])
+
+    @pytest.mark.parametrize("taus", [0.1, [[0.1, 0.2], [0.3, 0.4]]], ids=["scalar", "2d"])
+    def test_taus_must_be_one_dimensional(self, taus):
+        with pytest.raises(ValueError, match="taus must be a 1-D"):
+            evolve_many(basis_state(3, 3), tact_generator(3), taus)
 
     def test_generator_built_once_per_spin(self, monkeypatch):
         built = []
@@ -415,20 +415,6 @@ class TestMakeSSS:
 
 
 class TestConfigValidation:
-    def test_tolerance_range(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            PropagatorConfig(tolerance=1e-5)
-        with pytest.raises(ValueError, match="tolerance"):
-            PropagatorConfig(tolerance=0.0)
-
-    def test_method_names(self):
-        with pytest.raises(ValueError, match="method"):
-            PropagatorConfig(method="magnus")
-
-    def test_substep_cap_positive(self):
-        with pytest.raises(ValueError, match="max_substeps"):
-            PropagatorConfig(max_substeps=0)
-
     def test_protocol_validation(self):
         with pytest.raises(ValueError, match="chi"):
             TwistProtocol(chi=0.0)

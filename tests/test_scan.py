@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tactsim import dynamics, scan
-from tactsim.dynamics import PropagationError, PropagatorConfig, make_sss
+from tactsim.dynamics import PropagationError, dense_expm_evolve, krylov_evolve, make_sss
 from tactsim.observables import fidelity, spin_moments
 from tactsim.reference import default_tau_max, reference_value
 from tactsim.scan import ScanSpec, scan_tau, scaling_sweep
@@ -64,6 +64,12 @@ def test_spec_validation():
         ScanSpec(j=2, metric="fid_ewss", tau_min=1.0, tau_max=0.5)
     with pytest.raises(ValueError, match="n_grid"):
         ScanSpec(j=2, metric="fid_ewss", tau_min=0.0, tau_max=1.0, n_grid=4)
+    for n_grid in (8.5, 1e3):
+        with pytest.raises(ValueError, match="n_grid must be an integer"):
+            ScanSpec(j=2, metric="fid_ewss", tau_min=0.0, tau_max=1.0, n_grid=n_grid)
+    record = ScanSpec(j=2, metric="fid_ewss", tau_min=0.0, tau_max=1.0).to_json_dict()
+    with pytest.raises(ValueError, match="n_grid must be an integer"):
+        ScanSpec.from_json_dict({**record, "n_grid": 64.7})
     with pytest.raises(ValueError, match="metric"):
         ScanSpec(j=2, metric="squeeze", tau_min=0.0, tau_max=1.0)
 
@@ -113,7 +119,7 @@ def test_sweep_failed_row_names_exception_type():
 
 
 def test_sweep_reraises_programming_errors(monkeypatch):
-    def broken(spec, cfg):
+    def broken(spec):
         raise TypeError("bug in a metric")
 
     monkeypatch.setattr(scan, "scan_tau", broken)
@@ -157,10 +163,13 @@ def test_grid_values_match_per_state_path(j, metric):
 
 @pytest.mark.parametrize("method", ["dense_expm", "krylov"])
 @pytest.mark.parametrize("metric", sorted(PER_STATE))
-def test_oracle_methods_find_the_same_optimum(metric, method):
+def test_oracle_methods_find_the_same_optimum(monkeypatch, metric, method):
     spec = ScanSpec.auto(10, metric, n_grid=128)
     auto = scan_tau(spec)
-    oracle = scan_tau(spec, PropagatorConfig(method))
+    oracle_evolve = {"dense_expm": dense_expm_evolve, "krylov": krylov_evolve}[method]
+    monkeypatch.setattr(scan, "evolve_many", lambda state, generator, taus: np.column_stack(
+        [oracle_evolve(state, generator, tau).amplitudes for tau in taus]))
+    oracle = scan_tau(spec)
     assert abs(oracle.tau_star - auto.tau_star) <= spec.refine_tol
     np.testing.assert_allclose(oracle.grid_values, auto.grid_values, rtol=1e-9)
 
@@ -184,7 +193,7 @@ def test_scan_takes_one_eigensolve_and_no_per_tau_propagation(monkeypatch):
 
 def test_optimum_disagreeing_with_single_state_path_raises(monkeypatch):
     monkeypatch.setattr(scan, "squeezed_state",
-                        lambda j, tau, cfg: make_sss(j, 1.01 * tau, cfg=cfg))
+                        lambda j, tau: make_sss(j, 1.01 * tau))
     with pytest.raises(PropagationError, match="single-state"):
         scan_tau(ScanSpec.auto(10, "fid_tfs", n_grid=64))
 
