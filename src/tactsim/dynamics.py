@@ -3,14 +3,14 @@
 Units: hbar = 1, so the evolution operator for the twisting generator G is
 exp(G*tau) with G skew-hermitian and tau dimensionless when chi = 1.
 
-``evolve_many`` is the one propagator, for parity-preserving
-skew-hermitian generators (any other raises ValueError).  It propagates
-each M-parity block on its own, so amplitudes of the untouched parity stay
-exactly zero.  Each block of H = iG is tridiagonal and gets one cached
-eigendecomposition H = P V diag(lam) V^T P*, with a unit phase gauge P and
-``scipy.linalg.eigh_tridiagonal``; then
-exp(-i t H) v = P V (exp(-i lam t) * V^T P* v) for a whole vector of t in
-one product, at round-off accuracy.
+``evolve_many`` is the one propagator, for parity-preserving skew-hermitian
+generators (any other raises ValueError).  Each M-parity block of H = iG is
+tridiagonal with one cached eigendecomposition H = P V diag(lam) V^T P* (unit
+phase gauge P, ``scipy.linalg.eigh_tridiagonal``), so exp(-i t H) v =
+P V (exp(-i lam t) * V^T P* v) for a whole vector of t in one product; an empty
+block stays exactly zero.  Scans read the same cache for |J,J> alone
+(``_twist_spectrum``): lam, B = P V and w = V^T P* e_0, whose norm is checked
+once for every t, as |exp(-i lam t)| = 1.
 
 Rotations need no eigensolve.  exp(-i pi/2 Jy) is the real Wigner matrix
 Delta = d^J(pi/2), built once per J by a three-term recursion in O(J^2);
@@ -266,13 +266,19 @@ def _cached_eigensystem(diag: bytes, upper: bytes) -> _TridiagonalExp:
     return _TridiagonalExp(np.frombuffer(diag), np.frombuffer(upper, dtype=complex))
 
 
+def _sector_eigensystem(generator: BandedOperator, sector: slice) -> _TridiagonalExp:
+    """The cached eigensystem of H = iG, tridiagonal, on one parity sector of G."""
+    zeros = np.zeros(generator.dim)
+    diag = (1j * generator.bands.get(0, zeros)[sector]).real
+    upper = 1j * generator.bands.get(2, zeros[2:])[sector]
+    return _cached_eigensystem(diag.tobytes(), upper.tobytes())
+
+
 def _checked_taus(state: SpinState, generator: BandedOperator, taus) -> np.ndarray:
     """taus as a 1-D float array, once the generator's spin matches the
     state's and every tau is finite."""
     if generator.j != state.j:
-        raise ValueError(
-            f"generator spin {generator.j} does not match state spin {state.j}"
-        )
+        raise ValueError(f"generator spin {generator.j} does not match state spin {state.j}")
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1:
         raise ValueError(f"taus must be a 1-D sequence of times, got shape {taus.shape}")
@@ -296,17 +302,11 @@ def evolve_many(state: SpinState, generator: BandedOperator, taus) -> np.ndarray
         raise ValueError("evolve_many takes only parity-preserving skew-hermitian "
                          "generators; the oracles dense_expm_evolve and "
                          "krylov_evolve take any")
-    v, bands, zeros = state.amplitudes, generator.bands, np.zeros(state.dim)
+    v = state.amplitudes
     out = np.zeros((state.dim, len(taus)), dtype=complex)
     for sector in (slice(0, None, 2), slice(1, None, 2)):
-        if not np.any(v[sector]):
-            continue
-        # H = iG on this parity sector is tridiagonal: offsets 0 and 2 of G;
-        # its eigensystem is keyed on the band content, so equal blocks share it
-        diag = (1j * bands.get(0, zeros)[sector]).real
-        upper = 1j * bands.get(2, zeros[2:])[sector]
-        out[sector] = _cached_eigensystem(diag.tobytes(), upper.tobytes()).apply(
-            taus, v[sector])
+        if np.any(v[sector]):
+            out[sector] = _sector_eigensystem(generator, sector).apply(taus, v[sector])
     return _unit_columns(out, "propagated")
 
 
@@ -441,6 +441,21 @@ def rotate(state: SpinState, axis, angle) -> SpinState:
 def _shared_generator(j, chi, gamma) -> BandedOperator:
     """tact_generator, built once per spin and parameters (it is immutable)."""
     return tact_generator(j, chi=chi, gamma=gamma)
+
+
+def _twist_spectrum(j, chi, gamma):
+    """(lam, B, w) on the parity sector of |J,J>, exp(G tau)|J,J> = B (w * exp(-i lam
+    tau)) there and 0 off it, for G = tact_generator(j, chi, gamma).  The norm is
+    checked once for every tau: |w| = 1 and B w = e_0 within 1e-10, else
+    PropagationError."""
+    eig = _sector_eigensystem(_shared_generator(float(j), chi, gamma), slice(0, None, 2))
+    basis = eig.phase[:, None] * eig.vectors
+    coeffs = np.conj(eig.phase[0]) * eig.vectors[0]
+    drift = basis @ coeffs - (np.arange(len(coeffs)) == 0)
+    worst = max(abs(np.linalg.norm(coeffs) - 1.0), np.max(np.abs(drift)))
+    if not worst <= _EVOLVE_NORM_TOL:
+        raise PropagationError(f"twisted |J,J> at J={j} is off by {worst:.3e} in its eigenbasis")
+    return eig.values, basis, coeffs
 
 
 def make_sss(j, tau=None, protocol: TwistProtocol = DEFAULT_PROTOCOL) -> SpinState:

@@ -59,17 +59,6 @@ def spin_moments(state: SpinState) -> SpinMoments:
     return SpinMoments(mean=mean, variance_z=var_z, variance_y=var_y)
 
 
-def column_variances(j, block: np.ndarray, axis: str) -> np.ndarray:
-    """<(dJ_axis)^2> of every column of a (2J+1, k) block of states.
-
-    Computed like ``spin_moments``, from the same cached operator bands.
-    """
-    op = _spin_operators(validate_spin(j))["xyz".index(axis)]
-    applied = op.apply(block)
-    mean = np.einsum("ik,ik->k", block.conj(), applied).real
-    return np.maximum(np.linalg.norm(applied, axis=0) ** 2 - mean**2, 0.0)
-
-
 @dataclass(frozen=True, eq=False)
 class QpdGrid:
     """|<CSS(phi, theta)|state>|^2 on a uniform grid.

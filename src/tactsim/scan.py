@@ -6,19 +6,20 @@ which targets the first peak rather than later revivals), and refines by
 golden-section search.  Scans are deterministic: identical specs yield
 bitwise-identical results.
 
-The metrics are defined on the protocol's output R psi(tau), with
-R = exp(-i pi/2 Jy), but a scan scores the twisted state psi(tau) itself
-and moves R onto the metric (see ``METRICS``): the grid is one
-``evolve_many`` block of |J,J>, one product with the cached eigensystem of
-each parity block, and no state is rotated.  The optimum is re-evaluated
-on the single-state path (``squeezed_state``, which rotates); a
-disagreement above 1e-10 relative plus 8 eps max(1, J) raises
-PropagationError.
+The metrics are defined on R psi(tau), R = exp(-i pi/2 Jy), but a scan scores
+psi(tau) = exp(G tau)|J,J> on the cached eigen-coefficients of G in the parity
+sector of |J,J> (``dynamics._twist_spectrum``), R moved onto the metric: each
+metric binds one projection M per scan, and a grid is one product of M with the
+phases exp(-i lam tau); no state is built.  The phases have unit modulus, so
+the norm is checked once per scan.  The optimum is re-evaluated on the
+single-state path (``squeezed_state``, which propagates and rotates); a
+disagreement above 1e-10 relative plus 8 eps max(1, J) raises PropagationError.
 """
 
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -26,14 +27,13 @@ from .dynamics import (
     DEFAULT_PROTOCOL,
     PropagationError,
     _rotation_matrix,
-    _shared_generator,
-    evolve_many,
+    _twist_spectrum,
     make_sss,
 )
-from .observables import column_variances, fidelity, spin_moments
+from .observables import fidelity, spin_moments
 from .reference import default_tau_max
-from .states import basis_state, make_ewss, make_twin_fock
-from .operators import validate_spin
+from .states import make_ewss, make_twin_fock
+from .operators import build_operator, spin_dimension, validate_spin
 
 _GRID_TIE_TOL = 1e-12
 _CROSS_CHECK_TOL = 1e-10
@@ -43,34 +43,32 @@ _INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
 _INV_PHI_SQ = (3 - math.sqrt(5)) / 2  # 1/phi^2
 
 
-def _fidelity_to(make_target):
-    """|<target|R psi>|^2 = |<R^dag target|psi>|^2, with the bra built once per scan."""
-    def bind(j):
-        target = make_target(j)
-        bra = np.conj(target.amplitudes) @ _rotation_matrix(j, "y", math.pi / 2)
-        return (lambda block: np.abs(bra @ block) ** 2,
-                lambda state: fidelity(target, state))
-    return bind
+def _bra_row(make_target, j, modes):
+    """|<target|R psi>|^2 = |<R^dag target|psi>|^2: one row, the bra target^dag R."""
+    bra = np.conj(make_target(j).amplitudes) @ _rotation_matrix(j, "y", math.pi / 2)
+    return bra[None] @ modes
 
 
-def _deviation(axis, twisted_axis):
-    """<(dJ_axis)^2>^{1/2}, the unit the scaling laws are stated in."""
-    def bind(j):
-        return (lambda block: np.sqrt(column_variances(j, block, twisted_axis)),
-                lambda state: math.sqrt(getattr(spin_moments(state), "variance_" + axis)))
-    return bind
+def _odd_rows(operator, j, modes):
+    """J_x and J_y flip the parity of M, so their mean on psi is exactly 0 and
+    <(dJ)^2>^{1/2}, the unit the scaling laws are stated in, is |J psi|."""
+    return build_operator(j, operator).apply(modes)[1::2]
 
 
-# metric -> (+1 maximize or -1 minimize, evaluator).  evaluator(j) builds
-# what the metric needs at spin j once and returns the metric of a (2J+1, k)
-# block of twisted states psi(tau) and of one post-rotation state R psi.
-# The block side carries R: fidelities take the bra target^dag R, and since
-# R^dag Jz R = -Jx and R^dag Jy R = Jy, dJz becomes dJx and dJy stays.
+# metric -> (+1 maximize or -1 minimize, power p, projection, single-state metric).
+# With psi(tau) = modes @ exp(-i lam tau), projection(j, modes) is M, bound once
+# per scan, and the metric of psi is |M exp(-i lam tau)|^p; the single-state metric
+# scores one post-rotation state R psi.  M carries R: fidelities take the bra
+# target^dag R, and as R^dag Jz R = -Jx and R^dag Jy R = Jy, dJz is |Jx psi|.
 METRICS = {
-    "fid_ewss": (1.0, _fidelity_to(make_ewss)),
-    "fid_tfs": (1.0, _fidelity_to(make_twin_fock)),
-    "var_z_max": (1.0, _deviation("z", "x")),
-    "var_y_min": (-1.0, _deviation("y", "y")),
+    "fid_ewss": (1.0, 2, partial(_bra_row, make_ewss),
+                 lambda state: fidelity(make_ewss(state.j), state)),
+    "fid_tfs": (1.0, 2, partial(_bra_row, make_twin_fock),
+                lambda state: fidelity(make_twin_fock(state.j), state)),
+    "var_z_max": (1.0, 1, partial(_odd_rows, "Jx"),
+                  lambda state: math.sqrt(spin_moments(state).variance_z)),
+    "var_y_min": (-1.0, 1, partial(_odd_rows, "Jy"),
+                  lambda state: math.sqrt(spin_moments(state).variance_y)),
 }
 
 
@@ -165,9 +163,8 @@ class ScanResult:
                    value_star=float(record["value_star"]))
 
 
-def _golden_section(f, lo, hi, tol, sign):
-    """Deterministic golden-section optimization of sign*f on [lo, hi]."""
-    a, b = lo, hi
+def _golden_section(f, a, b, tol, sign):
+    """Deterministic golden-section optimization of sign*f on [a, b]."""
     h = b - a
     if h <= tol:
         return (a + b) / 2
@@ -177,14 +174,13 @@ def _golden_section(f, lo, hi, tol, sign):
     yc = sign * f(c)
     yd = sign * f(d)
     for _ in range(n - 1):
+        h *= _INV_PHI
         if yc > yd:
             b, d, yd = d, c, yc
-            h *= _INV_PHI
             c = a + _INV_PHI_SQ * h
             yc = sign * f(c)
         else:
             a, c, yc = c, d, yd
-            h *= _INV_PHI
             d = a + _INV_PHI * h
             yd = sign * f(d)
     return (a + d) / 2 if yc > yd else (c + b) / 2
@@ -192,13 +188,15 @@ def _golden_section(f, lo, hi, tol, sign):
 
 def scan_tau(spec: ScanSpec) -> ScanResult:
     """Coarse grid plus golden-section refinement of one metric."""
-    sign, evaluator = METRICS[spec.metric]
-    on_block, on_state = evaluator(spec.j)
-    initial = basis_state(spec.j, spec.j)
-    gen = _shared_generator(float(spec.j), DEFAULT_PROTOCOL.chi, DEFAULT_PROTOCOL.gamma)
+    sign, power, project, on_state = METRICS[spec.metric]
+    lam, basis, coeffs = _twist_spectrum(spec.j, DEFAULT_PROTOCOL.chi, DEFAULT_PROTOCOL.gamma)
+    modes = np.zeros((spin_dimension(spec.j), len(lam)), dtype=complex)
+    modes[0::2] = basis * coeffs  # column k: eigenmode k's share of |J,J>
+    projection = project(spec.j, modes)
 
     def grid_values(taus):
-        return on_block(evolve_many(initial, gen, taus))
+        phases = np.exp(-1j * np.multiply.outer(lam, taus))
+        return np.linalg.norm(projection @ phases, axis=0) ** power
 
     def f(tau):
         return float(grid_values([tau])[0])
@@ -206,11 +204,9 @@ def scan_tau(spec: ScanSpec) -> ScanResult:
     taus = np.linspace(spec.tau_min, spec.tau_max, spec.n_grid)
     values = grid_values(taus)
     signed = sign * values
-    best = float(signed.max())
-    idx = int(np.nonzero(signed >= best - _GRID_TIE_TOL)[0][0])
-    lo = taus[max(idx - 1, 0)]
-    hi = taus[min(idx + 1, spec.n_grid - 1)]
-    tau_ref = _golden_section(f, lo, hi, spec.refine_tol, sign)
+    idx = int(np.nonzero(signed >= signed.max() - _GRID_TIE_TOL)[0][0])
+    tau_ref = _golden_section(f, taus[max(idx - 1, 0)], taus[min(idx + 1, spec.n_grid - 1)],
+                              spec.refine_tol, sign)
     val_ref = f(tau_ref)
     # refinement must never lose to the best coarse sample
     if sign * val_ref >= signed[idx]:

@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tactsim import dynamics, scan
-from tactsim.dynamics import PropagationError, dense_expm_evolve, krylov_evolve, make_sss
+from tactsim.dynamics import (PropagationError, dense_expm_evolve, krylov_evolve, make_sss,
+                              rotate, tact_generator)
 from tactsim.observables import fidelity, spin_moments
 from tactsim.reference import default_tau_max, reference_value
 from tactsim.scan import ScanSpec, scan_tau, scaling_sweep
-from tactsim.states import make_ewss, make_twin_fock
+from tactsim.states import basis_state, make_ewss, make_twin_fock
 
 
 def test_j1_max_fluctuation_at_quarter_pi():
@@ -153,25 +156,50 @@ PER_STATE = {
 
 
 @pytest.mark.parametrize("j,metric", [
-    (j, metric) for j in (0.5, 1, 3, 10, 50) for metric in sorted(PER_STATE)
-    if not (metric == "fid_tfs" and j == 0.5)])  # twin-Fock needs integer J
+    (j, metric) for j in (0.5, 1, 3, 7.5, 10, 50, 100, 400) for metric in sorted(PER_STATE)
+    if not (metric == "fid_tfs" and j != int(j))])  # twin-Fock needs integer J
 def test_grid_values_match_per_state_path(j, metric):
     res = scan_tau(ScanSpec.auto(j, metric, n_grid=64))
     expect = [PER_STATE[metric](j, make_sss(j, tau)) for tau in res.grid_taus]
     np.testing.assert_allclose(res.grid_values, expect, rtol=1e-12, atol=0)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(two_j=st.integers(1, 400), metric=st.sampled_from(sorted(PER_STATE)),
+       fraction=st.floats(0.0, 1.0, exclude_max=True))
+def test_scan_values_match_per_state_path_anywhere(two_j, metric, fraction):
+    # the scan's values at the grid that starts at tau = fraction * tau_max
+    j = two_j / 2
+    assume(not (metric == "fid_tfs" and two_j % 2))
+    tau_max = default_tau_max(j)
+    res = scan_tau(ScanSpec(j=j, metric=metric, tau_min=fraction * tau_max,
+                            tau_max=tau_max, n_grid=8))
+    expect = np.array([PER_STATE[metric](j, make_sss(j, tau)) for tau in res.grid_taus])
+    bound = 1e-12 * np.abs(expect) + 8 * np.finfo(float).eps * max(1.0, j)
+    assert np.all(np.abs(res.grid_values - expect) <= bound)
+
+
 @pytest.mark.parametrize("method", ["dense_expm", "krylov"])
 @pytest.mark.parametrize("metric", sorted(PER_STATE))
-def test_oracle_methods_find_the_same_optimum(monkeypatch, metric, method):
+def test_oracle_methods_find_the_same_optimum(metric, method):
+    # the protocol state propagated by an oracle, rotated, scored one state
+    # at a time: no part of it shares the scan's eigen-coefficients
     spec = ScanSpec.auto(10, metric, n_grid=128)
-    auto = scan_tau(spec)
+    res = scan_tau(spec)
     oracle_evolve = {"dense_expm": dense_expm_evolve, "krylov": krylov_evolve}[method]
-    monkeypatch.setattr(scan, "evolve_many", lambda state, generator, taus: np.column_stack(
-        [oracle_evolve(state, generator, tau).amplitudes for tau in taus]))
-    oracle = scan_tau(spec)
-    assert abs(oracle.tau_star - auto.tau_star) <= spec.refine_tol
-    np.testing.assert_allclose(oracle.grid_values, auto.grid_values, rtol=1e-9)
+    start, gen = basis_state(10, 10), tact_generator(10)
+
+    def on_oracle(tau):
+        return PER_STATE[metric](10, rotate(oracle_evolve(start, gen, tau), "y", math.pi / 2))
+
+    np.testing.assert_allclose(res.grid_values, [on_oracle(t) for t in res.grid_taus],
+                               rtol=1e-9)
+    sign = scan.METRICS[metric][0]
+    signed = sign * res.grid_values
+    idx = int(np.nonzero(signed >= signed.max() - 1e-12)[0][0])
+    lo, hi = res.grid_taus[max(idx - 1, 0)], res.grid_taus[min(idx + 1, spec.n_grid - 1)]
+    tau = scan._golden_section(on_oracle, lo, hi, spec.refine_tol, sign)
+    assert abs(tau - res.tau_star) <= spec.refine_tol
 
 
 def test_scan_takes_one_eigensolve_and_no_per_tau_propagation(monkeypatch):
@@ -189,6 +217,22 @@ def test_scan_takes_one_eigensolve_and_no_per_tau_propagation(monkeypatch):
     res = scan_tau(ScanSpec.auto(50, "var_z_max"))
     assert dynamics._cached_eigensystem.cache_info().misses - before <= 1
     assert taus == [res.tau_star]  # the single-state cross-check only
+
+
+@pytest.mark.parametrize("metric", sorted(PER_STATE))
+def test_eigenbasis_off_unit_norm_raises_once_per_scan(monkeypatch, metric):
+    cached = dynamics._cached_eigensystem
+
+    def scaled(diag, upper):
+        eig = cached(diag, upper)
+        off = object.__new__(dynamics._TridiagonalExp)
+        off.phase, off.values, off.is_real = eig.phase, eig.values, eig.is_real
+        off.vectors = eig.vectors * (1 + 1e-8)
+        return off
+
+    monkeypatch.setattr(dynamics, "_cached_eigensystem", scaled)
+    with pytest.raises(PropagationError, match="eigenbasis"):
+        scan_tau(ScanSpec.auto(10, metric, n_grid=64))
 
 
 def test_optimum_disagreeing_with_single_state_path_raises(monkeypatch):
