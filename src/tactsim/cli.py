@@ -6,8 +6,9 @@ CSV output uses 17 significant digits so reports are diff-stable.
 
 Option precedence: command-line flags override the --config file, which
 overrides built-in defaults.  The config file is flat ``key = value``
-text; keys match option names (format, out, grid), and an unknown key
-or a value that does not convert fails naming path:line.  A number list
+text; keys match option names (format, out, qpd-grid and scan-grid for
+the two meanings of --grid), and an unknown key, the old key grid, or a
+value that does not convert fails naming path:line.  A number list
 (--j-list, --init) that does not convert fails naming its option.
 """
 
@@ -36,7 +37,7 @@ from .states import (
 STATE_KINDS = ("css", "ewss", "tfs", "cat", "sss")
 _FORMATS = ("json", "csv", "both")
 # config key -> the values it accepts (None: any, converted where it is used)
-_CONFIG_KEYS = {"format": _FORMATS, "out": None, "grid": None}
+_CONFIG_KEYS = {"format": _FORMATS, "out": None, "qpd-grid": None, "scan-grid": None}
 
 
 def _fmt(x) -> str:
@@ -72,6 +73,10 @@ def _load_config(path):
             raise click.ClickException(
                 f"{path}:{line_no}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key == "grid":
+            raise click.ClickException(f"{path}:{line_no}: key 'grid' is split in two: "
+                                       "qpd-grid = NPHIxNTHETA for qpd, scan-grid = N for "
+                                       "scan and reproduce-paper")
         if key not in _CONFIG_KEYS:
             raise click.ClickException(f"{path}:{line_no}: unknown key {key!r}; "
                                        f"expected one of {', '.join(_CONFIG_KEYS)}")
@@ -100,17 +105,18 @@ class _Settings:
     def __init__(self, config_values):
         self.config = config_values
 
-    def get(self, key, cli_value, default, convert=str):
+    def get(self, option, cli_value, default, convert=str, key=None):
+        key = key or option
         if cli_value is not None:
-            value, where = cli_value, f"--{key}"
+            value, where, name = cli_value, f"--{option}", option
         elif key in self.config:
-            value, where = self.config[key]
+            (value, where), name = self.config[key], key
         else:
             return default
         try:
             return convert(value)
         except ValueError as exc:
-            raise ValueError(f"{where}: bad {key} value {value!r}: {exc}") from None
+            raise ValueError(f"{where}: bad {name} value {value!r}: {exc}") from None
 
 
 pass_settings = click.make_pass_decorator(_Settings)
@@ -209,7 +215,7 @@ def state(settings, kind, j, alpha, beta, tau, chi, gamma, out, fmt):
 def qpd_cmd(settings, j, kind, tau, alpha, beta, chi, gamma, grid, out):
     """Quasi-probability distribution of a state on the Bloch sphere."""
     try:
-        n_phi, n_theta = settings.get("grid", grid, (360, 180), _parse_grid)
+        n_phi, n_theta = settings.get("grid", grid, (360, 180), _parse_grid, key="qpd-grid")
         if kind is None and tau is None:
             raise ValueError("give --kind, or --tau for the squeezed state")
         if kind is None:
@@ -263,7 +269,7 @@ def evolve_cmd(settings, j, tau, chi, gamma, out, fmt):
 def scan_cmd(settings, j, metric, tau_min, tau_max, grid, refine_tol, out):
     """Locate the evolution time optimizing one metric."""
     try:
-        n_grid = settings.get("grid", grid, 512, int)
+        n_grid = settings.get("grid", grid, 512, int, key="scan-grid")
         base = ScanSpec.auto(j, metric, n_grid=n_grid)
         spec = ScanSpec(
             j=j, metric=metric,
@@ -346,7 +352,7 @@ def reproduce_cmd(settings, j_list, grid, out):
     """Run the full sweep-and-fit pipeline and compare against the
     published reference coefficients; exit nonzero if a check fails."""
     try:
-        n_grid = settings.get("grid", grid, 512, int)
+        n_grid = settings.get("grid", grid, 512, int, key="scan-grid")
         js = settings.get("j-list", j_list, None, _parse_floats)
         report = run_reproduction(js, n_grid=n_grid)
         out_path = _out_dir(settings, out)

@@ -8,7 +8,9 @@ Families
 
 The solver is Gauss-Newton with Levenberg-style damping, analytic
 Jacobians, and per-family auto-initialization obtained from the obvious
-linearization of each model.  Residuals are unweighted.
+linearization of each model.  Residuals are unweighted.  A fit runs under one
+``np.errstate``: a trial step that leaves the model domain has a nan or inf
+rss, which fails rss_try < rss like any worse step.
 """
 
 import math
@@ -221,14 +223,11 @@ def _prepare_data(data):
     return jj, yy
 
 
-def _gradient_cosine(jac, r):
-    """Largest |cos| between the residual and a Jacobian column."""
-    rnorm = np.linalg.norm(r)
-    if rnorm == 0:
-        return 0.0
-    cols = np.linalg.norm(jac, axis=0)
+def _gradient_cosine(jac, g, rss):
+    """Largest |cos| between r and a Jacobian column, from g = jac^T r and rss = |r|^2 > 0."""
+    cols = np.sqrt(np.add.reduce(jac * jac, axis=0))
     cols = np.where(cols > 0, cols, 1.0)
-    return float(np.max(np.abs(jac.T @ r) / (cols * rnorm)))
+    return float((np.abs(g) / (cols * math.sqrt(rss))).max())
 
 
 def fit(family: str, data, init=None,
@@ -254,57 +253,48 @@ def fit(family: str, data, init=None,
     else:
         p = spec.auto_init(jj, yy)
 
-    def residuals(params):
-        with np.errstate(all="ignore"):
-            model = spec.evaluate(jj, params)
-        return model - yy
-
-    r = residuals(p)
-    if not np.all(np.isfinite(r)):
-        raise FitError(f"initial parameters {tuple(p)} leave the model domain")
-    rss = float(r @ r)
-    rss_floor = (1e-14 * (1.0 + float(np.linalg.norm(yy)))) ** 2
-    lam = 1e-3
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        r = spec.evaluate(jj, p) - yy
+        if not np.isfinite(r).all():
+            raise FitError(f"initial parameters {tuple(p)} leave the model domain")
+        rss = float(r @ r)
+        rss_floor = (1e-14 * (1.0 + float(np.linalg.norm(yy)))) ** 2
+        lam, converged, iterations = 1e-3, False, 0
+        for iterations in range(1, max_iterations + 1):
             jac = spec.jacobian(jj, p)
-        if not np.all(np.isfinite(jac)):
-            raise FitError("Jacobian left the model domain during iteration")
-        if rss <= rss_floor or _gradient_cosine(jac, r) <= gradient_tol:
-            converged = True
-            break
-        jtj = jac.T @ jac
-        g = jac.T @ r
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0] = 1.0
-        improved = False
-        while lam < 1e15:
-            try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10
-                continue
-            p_try = p + step
-            r_try = residuals(p_try)
-            with np.errstate(invalid="ignore"):
-                finite = np.all(np.isfinite(r_try))
-            if finite:
+            if not np.isfinite(jac).all():
+                raise FitError("Jacobian left the model domain during iteration")
+            g = jac.T @ r
+            if rss <= rss_floor or _gradient_cosine(jac, g, rss) <= gradient_tol:
+                converged = True
+                break
+            jtj = jac.T @ jac
+            jtj_diag = jtj.diagonal()
+            scale = np.where(jtj_diag > 0, jtj_diag, 1.0)
+            damped = jtj.copy()
+            damped_diag = damped.reshape(-1)[:: len(p) + 1]  # a writable view
+            neg_g = -g
+            while lam < 1e15:
+                damped_diag[:] = jtj_diag + lam * scale
+                try:
+                    step = np.linalg.solve(damped, neg_g)
+                except np.linalg.LinAlgError:
+                    lam *= 10
+                    continue
+                p_try = p + step
+                r_try = spec.evaluate(jj, p_try) - yy
                 rss_try = float(r_try @ r_try)
                 if rss_try < rss:
                     p, r, rss = p_try, r_try, rss_try
                     lam = max(lam / 3, 1e-14)
-                    improved = True
                     break
-            lam *= 3
-        if not improved:
-            break  # damping exhausted; report honestly below
-    with np.errstate(all="ignore"):
+                lam *= 3
+            else:
+                break  # damping exhausted; report honestly below
         jac = spec.jacobian(jj, p)
-    if converged is False and np.all(np.isfinite(jac)):
-        converged = rss <= rss_floor or _gradient_cosine(jac, r) <= gradient_tol
-    param_se = _standard_errors(jac, rss, len(jj), len(p))
+        if not converged and np.isfinite(jac).all():
+            converged = rss <= rss_floor or _gradient_cosine(jac, jac.T @ r, rss) <= gradient_tol
+        param_se = _standard_errors(jac, rss, len(jj), len(p))
     model = FitModel(family=family, params=tuple(p))
     return FitResult(model=model, rss=rss, param_se=param_se,
                      n_points=len(jj), iterations=iterations,

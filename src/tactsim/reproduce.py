@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from .fitting import FitError, FitResult, fit
 from .observables import spin_moments
 from .reference import REFERENCE_LAWS, reference_value
-from .scan import scaling_sweep, squeezed_state
+# squeezed_state is unused, but the bench tracer wraps reproduce.squeezed_state
+from .scan import scaling_sweep, squeezed_state  # noqa: F401
 
 SWEEP_METRICS = ("fid_ewss", "fid_tfs", "var_z_max", "var_y_min")
 
@@ -163,8 +164,7 @@ def run_reproduction(j_list, n_grid: int = 512) -> ReproductionReport:
                               ("fid_tfs", "dz_at_tau_tfs")):
             row = by_key[(j, metric)]
             if row.status == "ok":
-                state = squeezed_state(j, row.tau_star)
-                entry[label] = math.sqrt(spin_moments(state).variance_z)
+                entry[label] = math.sqrt(spin_moments(row.result.state).variance_z)
         series.append(entry)
 
     fit_rows = _fit_all_laws(series, j_list)

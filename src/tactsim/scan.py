@@ -10,16 +10,19 @@ The metrics are defined on R psi(tau), R = exp(-i pi/2 Jy), but a scan scores
 psi(tau) = exp(G tau)|J,J> on the cached eigen-coefficients of G in the parity
 sector of |J,J> (``dynamics._twist_spectrum``), R moved onto the metric: each
 metric binds one projection M per scan, and a grid is one product of M with the
-phases exp(-i lam tau); no state is built.  The phases have unit modulus, so
-the norm is checked once per scan.  The optimum is re-evaluated on the
-single-state path (``squeezed_state``, which propagates and rotates); a
-disagreement above 1e-10 relative plus 8 eps max(1, J) raises PropagationError.
+phases exp(-i lam tau); no state is built.  The spectrum, the mode block and the
+grid phases are built once per (J, window, grid) and shared read-only by the
+metrics of that J (``_scan_basis``); the phases have unit modulus, so the norm
+is checked once there.  The optimum is re-evaluated on the single-state path
+(``squeezed_state``, which propagates and rotates) and that state is kept as
+``ScanResult.state``; a disagreement above 1e-10 relative plus 8 eps max(1, J)
+raises PropagationError.
 """
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
-from functools import partial
+from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -30,10 +33,10 @@ from .dynamics import (
     _twist_spectrum,
     make_sss,
 )
-from .observables import fidelity, spin_moments
+from .observables import _spin_operators, fidelity, spin_moments
 from .reference import default_tau_max
-from .states import make_ewss, make_twin_fock
-from .operators import build_operator, spin_dimension, validate_spin
+from .states import SpinState, make_ewss, make_twin_fock
+from .operators import spin_dimension, validate_spin
 
 _GRID_TIE_TOL = 1e-12
 _CROSS_CHECK_TOL = 1e-10
@@ -49,10 +52,10 @@ def _bra_row(make_target, j, modes):
     return bra[None] @ modes
 
 
-def _odd_rows(operator, j, modes):
-    """J_x and J_y flip the parity of M, so their mean on psi is exactly 0 and
-    <(dJ)^2>^{1/2}, the unit the scaling laws are stated in, is |J psi|."""
-    return build_operator(j, operator).apply(modes)[1::2]
+def _odd_rows(axis, j, modes):
+    """J_x and J_y (axis 0, 1) flip the parity of M, so their mean on psi is exactly
+    0 and <(dJ)^2>^{1/2}, the unit the scaling laws are stated in, is |J psi|."""
+    return _spin_operators(validate_spin(j))[axis].apply(modes)[1::2]
 
 
 # metric -> (+1 maximize or -1 minimize, power p, projection, single-state metric).
@@ -65,9 +68,9 @@ METRICS = {
                  lambda state: fidelity(make_ewss(state.j), state)),
     "fid_tfs": (1.0, 2, partial(_bra_row, make_twin_fock),
                 lambda state: fidelity(make_twin_fock(state.j), state)),
-    "var_z_max": (1.0, 1, partial(_odd_rows, "Jx"),
+    "var_z_max": (1.0, 1, partial(_odd_rows, 0),
                   lambda state: math.sqrt(spin_moments(state).variance_z)),
-    "var_y_min": (-1.0, 1, partial(_odd_rows, "Jy"),
+    "var_y_min": (-1.0, 1, partial(_odd_rows, 1),
                   lambda state: math.sqrt(spin_moments(state).variance_y)),
 }
 
@@ -133,6 +136,7 @@ class ScanResult:
     grid_values: np.ndarray
     tau_star: float
     value_star: float
+    state: SpinState = field(default=None, repr=False)  # R psi(tau_star); not in JSON
 
     def __post_init__(self):
         if not self.spec.tau_min <= self.tau_star <= self.spec.tau_max:
@@ -186,23 +190,33 @@ def _golden_section(f, a, b, tol, sign):
     return (a + d) / 2 if yc > yd else (c + b) / 2
 
 
+@lru_cache(maxsize=1)  # sweeps run a J's metrics back to back; modes is 128 MB at J=2000
+def _scan_basis(j, tau_min, tau_max, n_grid):
+    """Read-only (lam, modes, taus, phases) shared by the metrics of one spin, window
+    and grid: psi(tau) = modes @ exp(-i lam tau), phases[:, k] = exp(-i lam taus[k])."""
+    lam, basis, coeffs = _twist_spectrum(j, DEFAULT_PROTOCOL.chi, DEFAULT_PROTOCOL.gamma)
+    modes = np.zeros((spin_dimension(j), len(lam)), dtype=complex)
+    modes[0::2] = basis * coeffs  # column k: eigenmode k's share of |J,J>
+    taus = np.linspace(tau_min, tau_max, n_grid)
+    phases = np.exp(-1j * np.multiply.outer(lam, taus))
+    for arr in (modes, taus, phases):
+        arr.flags.writeable = False
+    return lam, modes, taus, phases
+
+
 def scan_tau(spec: ScanSpec) -> ScanResult:
     """Coarse grid plus golden-section refinement of one metric."""
     sign, power, project, on_state = METRICS[spec.metric]
-    lam, basis, coeffs = _twist_spectrum(spec.j, DEFAULT_PROTOCOL.chi, DEFAULT_PROTOCOL.gamma)
-    modes = np.zeros((spin_dimension(spec.j), len(lam)), dtype=complex)
-    modes[0::2] = basis * coeffs  # column k: eigenmode k's share of |J,J>
+    lam, modes, taus, phases = _scan_basis(spec.j, spec.tau_min, spec.tau_max, spec.n_grid)
     projection = project(spec.j, modes)
 
-    def grid_values(taus):
-        phases = np.exp(-1j * np.multiply.outer(lam, taus))
+    def values_at(phases):
         return np.linalg.norm(projection @ phases, axis=0) ** power
 
     def f(tau):
-        return float(grid_values([tau])[0])
+        return float(values_at(np.exp(-1j * np.multiply.outer(lam, [tau])))[0])
 
-    taus = np.linspace(spec.tau_min, spec.tau_max, spec.n_grid)
-    values = grid_values(taus)
+    values = values_at(phases)
     signed = sign * values
     idx = int(np.nonzero(signed >= signed.max() - _GRID_TIE_TOL)[0][0])
     tau_ref = _golden_section(f, taus[max(idx - 1, 0)], taus[min(idx + 1, spec.n_grid - 1)],
@@ -213,14 +227,14 @@ def scan_tau(spec: ScanSpec) -> ScanResult:
         tau_star, value_star = float(tau_ref), float(val_ref)
     else:
         tau_star, value_star = float(taus[idx]), float(values[idx])
-    check = on_state(squeezed_state(spec.j, tau_star))
+    check = on_state(state := squeezed_state(spec.j, tau_star))
     if not abs(check - value_star) <= (_CROSS_CHECK_TOL * max(abs(check), abs(value_star))
                                        + _CROSS_CHECK_ROUND_OFF * max(1.0, spec.j)):
         raise PropagationError(
             f"{spec.metric} at tau={tau_star!r}: grid path gives {value_star!r}, "
             f"single-state path {check!r}")
     return ScanResult(spec=spec, grid_taus=taus, grid_values=values,
-                      tau_star=tau_star, value_star=value_star)
+                      tau_star=tau_star, value_star=value_star, state=state)
 
 
 @dataclass(frozen=True)

@@ -229,7 +229,7 @@ class TestFitCommand:
 class TestConfigPrecedence:
     def test_config_supplies_defaults(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("# defaults\ngrid = 12x6\nout = {}\n".format(tmp_path))
+        cfg.write_text("# defaults\nqpd-grid = 12x6\nout = {}\n".format(tmp_path))
         result = runner.invoke(main, ["--config", str(cfg), "qpd", "--j", "1",
                                       "--kind", "ewss"])
         assert result.exit_code == 0
@@ -239,7 +239,7 @@ class TestConfigPrecedence:
 
     def test_cli_flag_overrides_config(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("grid = 12x6\n")
+        cfg.write_text("qpd-grid = 12x6\n")
         result = runner.invoke(main, ["--config", str(cfg), "qpd", "--j", "1",
                                       "--kind", "ewss", "--grid", "10x4",
                                       "--out", str(tmp_path)])
@@ -281,8 +281,9 @@ class TestConfigPrecedence:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("line,args", [
-        ("grid = abc", ["scan", "--j", "2", "--metric", "fid_ewss"]),
-        ("grid = abc", ["qpd", "--j", "1", "--kind", "ewss"]),
+        pytest.param("scan-grid = abc", ["scan", "--j", "2", "--metric", "fid_ewss"],
+                     id="scan-grid"),
+        pytest.param("qpd-grid = abc", ["qpd", "--j", "1", "--kind", "ewss"], id="qpd-grid"),
         ("format = jsn", ["state", "--kind", "ewss", "--j", "1"]),
     ])
     def test_value_that_fails_to_convert_names_key_and_file(self, runner, tmp_path,
@@ -294,6 +295,41 @@ class TestConfigPrecedence:
         assert result.exit_code == 1
         assert f"{cfg}:2: bad {key} value" in result.output
         assert not (tmp_path / "out").exists()
+
+
+    def test_one_file_sets_the_qpd_and_the_scan_grid(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"qpd-grid = 12x6\nscan-grid = 16\nout = {tmp_path}\n")
+        result = runner.invoke(main, ["--config", str(cfg), "qpd", "--j", "1", "--kind", "ewss"])
+        assert result.exit_code == 0, result.output
+        record = json.loads((tmp_path / "qpd_ewss_j1.json").read_text())
+        assert (record["n_phi"], record["n_theta"]) == (12, 6)
+        result = runner.invoke(main, ["--config", str(cfg), "scan", "--j", "2",
+                                      "--metric", "fid_ewss"])
+        assert result.exit_code == 0, result.output
+        record = json.loads((tmp_path / "scan_fid_ewss_j2.json").read_text())
+        assert (record["spec"]["n_grid"], len(record["grid_taus"])) == (16, 16)
+        runner.invoke(main, ["--config", str(cfg), "reproduce-paper", "--j-list", "2,3,4"])
+        header, rows = read_csv(tmp_path / "sweep.csv")
+        assert len(rows) == 12
+        assert {row[header.index("grid_size")] for row in rows} == {"16"}
+
+    @pytest.mark.parametrize("args", [
+        ["qpd", "--j", "1", "--kind", "ewss"],
+        ["scan", "--j", "2", "--metric", "fid_ewss"],
+        ["reproduce-paper", "--j-list", "2,3,4"],
+    ], ids=lambda args: args[0])
+    def test_old_grid_key_names_both_new_keys(self, runner, tmp_path, args):
+        # one key used to mean NPHIxNTHETA for qpd and an integer for the scans
+        for value in ("12x6", "64"):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"out = {tmp_path / 'out'}\ngrid = {value}\n")
+            result = runner.invoke(main, ["--config", str(cfg)] + args)
+            assert result.exit_code == 1
+            assert f"{cfg}:2: key 'grid' is split in two" in result.output
+            assert "qpd-grid = NPHIxNTHETA" in result.output
+            assert "scan-grid = N" in result.output
+            assert not (tmp_path / "out").exists()
 
 
 class TestRoundTrips:

@@ -145,6 +145,16 @@ class TestValidation:
             with pytest.raises(FitError, match="finite"):
                 fit("shifted_power", [(1.0, 1.0), (2.0, 2.0), bad])
 
+    def test_overflowing_trial_step_is_rejected_without_warning(self):
+        # noisy data whose damped steps overflow the model: such a step is a
+        # worse step, not a RuntimeWarning
+        data = [(25, 0.7926911399973717), (78, 0.6176460129200676), (203, 0.10706675073775672),
+                (334, 0.8360032256758796), (486, 0.5323071995682607)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit("sq_power_offset", data)
+        assert math.isfinite(res.rss) and all(map(math.isfinite, res.model.params))
+
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown model family"):
             fit("cubic", [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
@@ -182,3 +192,36 @@ class TestDiagnostics:
         assert record["family"] == "log_over_linear"
         assert set(record["params"]) == {"a", "b"}
         assert record["converged"] is True
+
+
+DESK_J = (5, 10, 20, 50)
+
+
+class TestDeskIterates:
+    """The fits of ``reproduce-paper --j-list 5,10,20,50``, pinned to the iterates
+    recorded for them (series at 17 digits).  The 4-point, 3-parameter
+    fid_ewss_max fit sits on a ridge: data perturbations of 1e-16 to 1e-13 move
+    its 200th iterate by up to 2.5e-9, so its parameters are pinned to 1e-8."""
+
+    @pytest.mark.parametrize("family,values,params,iterations,converged,rtol", [
+        pytest.param("sq_power_offset",
+                     (0.9994818236759185, 0.9984725646352484, 0.9969868795821042,
+                      0.9948373352989097),
+                     (0.6336107087865096, 0.0016194328286489943, 0.36787952269142954),
+                     200, False, 1e-8, id="fid_ewss_max"),
+        # stops before the cap, not converged: the damping is exhausted
+        pytest.param("shifted_power",
+                     (4.269335390097451, 8.14182120861292, 15.8885435189244,
+                      39.13607107875067),
+                     (0.7735887879496895, 0.5153353572951088, 1.0003779367911556),
+                     11, False, 1e-12, id="dz_at_tau_tfs"),
+        pytest.param("log_over_linear",
+                     (0.09037554290346625, 0.06077226664301212, 0.03864397256333443,
+                      0.019952228492346458),
+                     (1.4199075532701804, 4.3424574209591515),
+                     6, True, 1e-12, id="tau_ewss"),
+    ])
+    def test_iterates_pinned(self, family, values, params, iterations, converged, rtol):
+        res = fit(family, list(zip(DESK_J, values)))
+        assert (res.iterations, res.converged) == (iterations, converged)
+        np.testing.assert_allclose(res.model.params, params, rtol=rtol, atol=0)

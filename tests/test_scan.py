@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from tactsim.dynamics import (PropagationError, dense_expm_evolve, krylov_evolve
                               rotate, tact_generator)
 from tactsim.observables import fidelity, spin_moments
 from tactsim.reference import default_tau_max, reference_value
-from tactsim.scan import ScanSpec, scan_tau, scaling_sweep
+from tactsim.reproduce import run_reproduction
+from tactsim.scan import ScanResult, ScanSpec, scan_tau, scaling_sweep
 from tactsim.states import basis_state, make_ewss, make_twin_fock
 
 
@@ -231,6 +233,7 @@ def test_eigenbasis_off_unit_norm_raises_once_per_scan(monkeypatch, metric):
         return off
 
     monkeypatch.setattr(dynamics, "_cached_eigensystem", scaled)
+    scan._scan_basis.cache_clear()
     with pytest.raises(PropagationError, match="eigenbasis"):
         scan_tau(ScanSpec.auto(10, metric, n_grid=64))
 
@@ -253,3 +256,66 @@ def test_small_disagreement_beyond_round_off_raises(monkeypatch, metric):
         variance_y=drift**2 * spin_moments(state).variance_y))
     with pytest.raises(PropagationError, match="single-state"):
         scan_tau(ScanSpec.auto(50, metric, n_grid=128))
+
+
+def test_sweep_builds_one_scan_basis_per_j(monkeypatch):
+    calls = []
+    spectrum = scan._twist_spectrum
+
+    def counted(j, chi, gamma):
+        calls.append(j)
+        return spectrum(j, chi, gamma)
+
+    monkeypatch.setattr(scan, "_twist_spectrum", counted)
+    scan._scan_basis.cache_clear()
+    rows = scaling_sweep([5, 10], sorted(PER_STATE), n_grid=64)
+    assert [row.status for row in rows] == ["ok"] * 8
+    assert calls == [5, 10]
+
+
+@pytest.mark.parametrize("j", [5, 50, 100])
+def test_shared_basis_scans_equal_cold_scans_bitwise(j):
+    scan._scan_basis.cache_clear()
+    for row in scaling_sweep([j], sorted(PER_STATE)):
+        scan._scan_basis.cache_clear()
+        cold = scan_tau(row.result.spec)
+        for name in ("grid_taus", "grid_values"):
+            assert getattr(row.result, name).tobytes() == getattr(cold, name).tobytes()
+        assert (row.result.tau_star, row.result.value_star) == (cold.tau_star, cold.value_star)
+
+
+def test_scan_basis_is_read_only():
+    spec = ScanSpec.auto(10, "fid_ewss", n_grid=64)
+    arrays = scan._scan_basis(spec.j, spec.tau_min, spec.tau_max, spec.n_grid)
+    assert len(arrays) == 4
+    for arr in arrays:
+        assert not arr.flags.writeable
+    assert not scan_tau(spec).grid_taus.flags.writeable
+
+
+@pytest.mark.parametrize("metric", sorted(PER_STATE))
+def test_result_keeps_the_cross_checked_state(metric):
+    res = scan_tau(ScanSpec.auto(20, metric, n_grid=64))
+    expect = make_sss(20, res.tau_star)
+    assert res.state.j == expect.j
+    assert res.state.amplitudes.tobytes() == expect.amplitudes.tobytes()
+
+
+def test_series_reads_dz_from_the_scan_state():
+    report = run_reproduction([2, 3, 4], n_grid=64)
+    rows = {(row.j, row.metric): row for row in report.sweep_rows}
+    for entry in report.series:
+        for metric, label in (("fid_ewss", "dz_at_tau_ewss"), ("fid_tfs", "dz_at_tau_tfs")):
+            row = rows[(entry["j"], metric)]
+            assert entry[label] == math.sqrt(spin_moments(row.result.state).variance_z)
+            assert entry[label] == math.sqrt(
+                spin_moments(make_sss(entry["j"], row.tau_star)).variance_z)
+
+
+def test_state_is_not_serialized():
+    res = scan_tau(ScanSpec.auto(3, "var_z_max", n_grid=16))
+    record = res.to_json_dict()
+    assert sorted(record) == ["grid_taus", "grid_values", "spec", "tau_star", "value_star"]
+    back = ScanResult.from_json_dict(json.loads(json.dumps(record)))
+    assert back.state is None
+    assert back.to_json_dict() == record

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tactsim.dynamics import rotate
 from tactsim.observables import prob_distribution, spin_moments
@@ -36,6 +38,17 @@ class TestCoherentState:
         s = make_css(1, CoherentSpinParams(alpha=math.pi / 2, beta=math.pi / 2))
         expect = np.array([0.5, 1j / math.sqrt(2), -0.5])
         assert np.allclose(s.amplitudes, expect, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(two_j=st.integers(1, 400), alpha=st.floats(-10.0, 10.0),
+           beta=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True))
+    def test_level_distribution_is_binomial(self, two_j, alpha, beta):
+        # J - M ~ Binomial(2J, sin^2(beta/2)), the pmf from log-gamma
+        state = make_css(two_j / 2, CoherentSpinParams(alpha=alpha, beta=beta))
+        p, q = math.sin(beta / 2) ** 2, math.cos(beta / 2) ** 2
+        pmf = [math.exp(math.lgamma(two_j + 1) - math.lgamma(k + 1) - math.lgamma(two_j - k + 1))
+               * p**k * q ** (two_j - k) for k in range(two_j + 1)]
+        assert np.max(np.abs(prob_distribution(state) - pmf)) <= 1e-12
 
     def test_large_spin_normalized(self):
         s = make_css(1000, CoherentSpinParams(alpha=1.2, beta=2.1))
