@@ -360,7 +360,7 @@ def _wigner_quarter(two_j):
         delta[: i + 2, np.abs(delta[i + 1]) > 1e150] *= 1e-150
     if n % 2:
         delta[top - 1] *= sign > 0  # d_{0,M'} vanishes for odd J - M'
-    delta[top:] = delta[n // 2 - 1::-1] * sign
+    np.multiply(delta[n // 2 - 1::-1], sign, out=delta[top:])
     delta /= np.sqrt(np.einsum("ij,ij->j", delta, delta))
     return delta
 

@@ -139,7 +139,11 @@ def qpd(state: SpinState, n_phi: int = 360, n_theta: int = 180) -> QpdGrid:
     The overlap with CSS(phi, theta) is a polynomial in e^{-i phi} with
     theta-dependent coefficients, so each theta column is evaluated for
     all phi at once with an FFT (after folding indices modulo n_phi).  The
-    coherent-state magnitudes are cached per (J, n_theta).
+    coherent-state magnitudes are cached per (J, n_theta).  When every
+    amplitude is real (any SSS with gamma = 0, the EWSS, a CSS with alpha =
+    0), the fold is real and is kept in the output array, a real FFT gives
+    phi in [0, pi], and Q(-phi, theta) = Q(phi, theta) mirrors the rest;
+    |.|^2 and the clip are taken in place in that one array.
     """
     for name, size in (("n_phi", n_phi), ("n_theta", n_theta)):
         if not isinstance(size, numbers.Integral):
@@ -150,13 +154,21 @@ def qpd(state: SpinState, n_phi: int = 360, n_theta: int = 180) -> QpdGrid:
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = 2 * math.pi * np.arange(n_phi) / n_phi
     mags = _css_table(validate_spin(state.j), n_theta)  # (n, n_theta)
-    amps = state.amplitudes[:, None]
-    folded = np.zeros((min(n, n_phi), n_theta), dtype=complex)
-    for start in range(0, n, n_phi):  # fold M-index blocks of n_phi rows in place
-        block = mags[start:start + n_phi] * amps[start:start + n_phi]
-        folded[: len(block)] += block
-    spectrum = np.fft.fft(folded, n=n_phi, axis=0)
-    values = np.clip(np.abs(spectrum) ** 2, 0.0, 1.0)
+    amps = state.amplitudes
+    real = not np.any(amps.imag)
+    amps = (amps.real if real else amps)[:, None]
+    values = np.empty((n_phi, n_theta))
+    # a real fold lives in the output rows, which |spectrum| then overwrites
+    folded = values[: min(n, n_phi)] if real else np.empty((min(n, n_phi), n_theta), complex)
+    np.multiply(mags[:n_phi], amps[:n_phi], out=folded)
+    for start in range(n_phi, n, n_phi):  # fold M-index blocks of n_phi rows in place
+        folded[: n - start] += mags[start:start + n_phi] * amps[start:start + n_phi]
+    spectrum = (np.fft.rfft if real else np.fft.fft)(folded, n=n_phi, axis=0)
+    rows = values[: len(spectrum)]
+    np.abs(spectrum, out=rows)
+    np.square(rows, out=rows)
+    np.clip(rows, 0.0, 1.0, out=rows)
+    values[len(rows):] = values[n_phi - len(rows):0:-1]  # real: Q(-phi) = Q(phi)
     return QpdGrid(j=state.j, phis=phis, thetas=thetas, values=values)
 
 

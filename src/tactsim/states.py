@@ -124,17 +124,17 @@ def css_magnitudes(j, beta) -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
     scalar = beta.ndim == 0
     half = np.atleast_1d(beta) / 2
-    c, s = np.cos(half), np.sin(half)
-    kc = (two_j - k)[:, None]
-    ks = k[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_c = np.where(kc > 0, kc * np.log(np.abs(c))[None, :], 0.0)
-        log_s = np.where(ks > 0, ks * np.log(np.abs(s))[None, :], 0.0)
-    mag = np.exp(log_binom[:, None] + log_c + log_s)
-    # log of |cos| loses the sign for beta outside [0, pi]; callers wrap
-    # angles first, but kill the cos=0/sin=0 columns exactly anyway.
-    mag = np.where((c[None, :] == 0) & (kc > 0), 0.0, mag)
-    mag = np.where((s[None, :] == 0) & (ks > 0), 0.0, mag)
+    with np.errstate(divide="ignore"):  # log 0 = -inf gives the exact zeros
+        log_c, log_s = np.log(np.abs(np.cos(half))), np.log(np.abs(np.sin(half)))
+    # One table, summed as (log_binom + (2J-k) log|c|) + k log|s|; a zero power
+    # adds nothing, so row 2J skips log|c| and row 0 skips log|s|.  |cos| drops
+    # the sign for beta outside [0, pi]; callers wrap angles first.
+    mag = np.empty((two_j + 1, len(half)))
+    np.multiply.outer(two_j - k[:-1], log_c, out=mag[:-1])
+    mag[-1] = 0.0
+    mag += log_binom[:, None]
+    mag[1:] += np.multiply.outer(k[1:], log_s)
+    np.exp(mag, out=mag)
     return mag[:, 0] if scalar else mag
 
 

@@ -1,10 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tactsim import observables
-from tactsim.dynamics import make_sss
+from tactsim.dynamics import TwistProtocol, make_sss
 from tactsim.observables import (
     FieldEstimationParams,
     QpdGrid,
@@ -17,6 +20,7 @@ from tactsim.observables import (
 from tactsim.operators import build_operator
 from tactsim.states import (
     CoherentSpinParams,
+    SpinState,
     basis_state,
     css_magnitudes,
     make_cat,
@@ -64,6 +68,44 @@ class TestProbDistribution:
             assert abs(prob_distribution(state).sum() - 1.0) < 1e-12
 
 
+def _gauss_legendre(m):
+    """Nodes and weights of the m-point Gauss-Legendre rule, rounded from 30 digits.
+
+    numpy's nodes take one Newton step and w = 2 (1 - x^2) / (m P_{m-1}(x))^2 is
+    evaluated there; numpy's own end weights are off by 3e-11 relative at m = 201.
+    The rule is symmetric, so half the nodes are computed and mirrored."""
+    half = []
+    with mpmath.workdps(30):
+        for guess in np.polynomial.legendre.leggauss(m)[0][: (m + 1) // 2]:
+            x = mpmath.mpf(guess)
+            for newton in (True, False):
+                p_prev, p = mpmath.mpf(1), x
+                for n in range(2, m + 1):  # (n) P_n = (2n - 1) x P_{n-1} - (n - 1) P_{n-2}
+                    p_prev, p = p, ((2 * n - 1) * x * p - (n - 1) * p_prev) / n
+                if newton:  # P_m' = m (x P_m - P_{m-1}) / (x^2 - 1)
+                    x -= p * (x * x - 1) / (m * (x * p - p_prev))
+            half.append((float(x), float(2 * (1 - x * x) / (m * p_prev) ** 2)))
+    x, w = np.array(half).T
+    return np.concatenate((x, -x[: m // 2][::-1])), np.concatenate((w, w[: m // 2][::-1]))
+
+
+# (name, state, n_phi, has complex amplitudes) for the direct inner-product check
+_DIRECT_CASES = [
+    ("sss-j4-nphi12", lambda: make_sss(4, 0.2), 12, False),
+    ("sss-j30-nphi16-folded", lambda: make_sss(30, 0.05), 16, False),
+    ("sss-j20-nphi7-odd", lambda: make_sss(20, 0.05), 7, False),
+    ("sss-j10-nphi2", lambda: make_sss(10, 0.05), 2, False),
+    ("sss-j179-nphi360", lambda: make_sss(179, 0.003), 360, False),
+    ("sss-j180-nphi360-folded", lambda: make_sss(180, 0.003), 360, False),
+    ("css-j5-nphi7-odd", lambda: make_css(5, CoherentSpinParams(0.7, 1.1)), 7, True),
+    ("css-j30-nphi13-folded", lambda: make_css(30, CoherentSpinParams(2.0, 0.9)), 13, True),
+    ("css-j10-nphi2", lambda: make_css(10, CoherentSpinParams(0.4, 2.0)), 2, True),
+    ("css-j180-nphi360-folded", lambda: make_css(180, CoherentSpinParams(1.3, 1.2)), 360, True),
+    ("sss-gamma-j10-nphi13", lambda: make_sss(10, 0.05, TwistProtocol(gamma=0.3)), 13, True),
+    ("sss-gamma-j180-nphi360", lambda: make_sss(180, 0.003, TwistProtocol(gamma=0.3)), 360, True),
+]
+
+
 class TestQpd:
     def test_pole_state(self):
         grid = qpd(basis_state(5, 5), n_phi=16, n_theta=9)
@@ -84,17 +126,42 @@ class TestQpd:
         assert grid.values.min() >= 0.0
 
     def test_matches_direct_inner_products(self):
-        # J=30 has 61 levels > n_phi=16: the folded branch
-        for state, n_phi in ((make_sss(4, 0.2), 12), (make_sss(30, 0.05), 16)):
+        # real amplitudes take the real FFT and the phi mirror, complex ones the full FFT
+        for name, make, n_phi, complex_amps in _DIRECT_CASES:
+            state = make()
+            assert bool(np.any(state.amplitudes.imag)) == complex_amps, name
             grid = qpd(state, n_phi=n_phi, n_theta=7)
-            for ip in (0, 3, 7, 11):
-                for it in (0, 2, 6):
-                    phi, theta = grid.phis[ip], grid.thetas[it]
-                    mags = css_magnitudes(state.j, theta)
-                    k = np.arange(state.dim)
-                    css = mags * np.exp(1j * k * phi)
-                    direct = abs(np.vdot(css, state.amplitudes)) ** 2
-                    assert grid.values[ip, it] == pytest.approx(direct, abs=1e-13)
+            k = np.arange(state.dim)
+            css_phases = np.exp(1j * np.outer(grid.phis, k))  # (n_phi, 2J+1)
+            for it, theta in enumerate(grid.thetas):
+                css = css_phases * css_magnitudes(state.j, theta)
+                direct = np.abs(css.conj() @ state.amplitudes) ** 2
+                assert np.max(np.abs(grid.values[:, it] - direct)) <= 1e-13, (name, it)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(two_j=st.integers(1, 120), extra=st.integers(1, 40), n_theta=st.integers(2, 9),
+           complex_amps=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_parseval_per_theta_column(self, two_j, extra, n_theta, complex_amps, seed):
+        # with n_phi > 2J nothing folds, and Parseval makes the phi mean of each
+        # column sum_k c_k(theta)^2 |a_k|^2 exactly; a misplaced mirror row breaks it
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=two_j + 1) + 1j * complex_amps * rng.normal(size=two_j + 1)
+        state = SpinState(j=two_j / 2, amplitudes=amps / np.linalg.norm(amps))
+        n_phi = two_j + extra
+        grid = qpd(state, n_phi=n_phi, n_theta=n_theta)
+        weights = np.abs(state.amplitudes) ** 2
+        expect = weights @ css_magnitudes(state.j, grid.thetas) ** 2
+        assert np.max(np.abs(grid.values.sum(axis=0) / n_phi - expect)) <= 1e-13
+
+    @pytest.mark.parametrize("j", [0.5, 1, 5, 50, 200])
+    def test_coherent_weights_normalized_exactly(self, j):
+        # c_k(theta)^2 is a polynomial of degree 2J in x = cos(theta), so floor(J) + 1
+        # Gauss-Legendre nodes integrate it exactly; with the Parseval test this
+        # makes (2J+1)/(4 pi) int Q dOmega = 1 exact for every state
+        x, w = _gauss_legendre(math.floor(j) + 1)
+        mags = css_magnitudes(j, np.arccos(x))  # (2J+1, nodes)
+        integrals = (2 * j + 1) / 2 * (mags**2 @ w)
+        assert np.max(np.abs(integrals - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("j", [2, 20])
     def test_resolution_of_identity(self, j):

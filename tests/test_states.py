@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from tactsim.states import (
     CoherentSpinParams,
     SpinState,
     basis_state,
+    css_magnitudes,
     make_cat,
     make_css,
     make_ewss,
@@ -20,7 +22,33 @@ from tactsim.states import (
 )
 
 
+def _css_magnitudes_reference(j, beta):
+    """css_magnitudes as separate log terms joined by np.where, summed in the
+    same order (log binomial + (2J-k) log|c|) + k log|s|, with zero powers as 0."""
+    two_j = round(2 * j)
+    k = np.arange(two_j + 1.0)
+    log_binom = 0.5 * (scipy.special.gammaln(two_j + 1) - scipy.special.gammaln(k + 1)
+                       - scipy.special.gammaln(two_j - k + 1))
+    half = np.atleast_1d(np.asarray(beta, dtype=float)) / 2
+    c, s = np.cos(half), np.sin(half)
+    kc, ks = (two_j - k)[:, None], k[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_c = np.where(kc > 0, kc * np.log(np.abs(c)), 0.0)
+        log_s = np.where(ks > 0, ks * np.log(np.abs(s)), 0.0)
+    mag = np.exp(log_binom[:, None] + log_c + log_s)
+    mag = np.where((c == 0) & (kc > 0), 0.0, mag)
+    return np.where((s == 0) & (ks > 0), 0.0, mag)
+
+
 class TestCoherentState:
+    @pytest.mark.parametrize("j", [0.5, 1, 3.5, 50, 400, 1000])
+    def test_magnitudes_match_the_term_by_term_table_bit_for_bit(self, j):
+        betas = np.array([0.0, 1e-300, 0.3, math.pi / 2, 3.0, math.pi, 4.0, 2 * math.pi])
+        assert np.array_equal(css_magnitudes(j, betas), _css_magnitudes_reference(j, betas))
+        grid = np.linspace(0.0, math.pi, 180)
+        assert np.array_equal(css_magnitudes(j, grid), _css_magnitudes_reference(j, grid))
+        assert np.array_equal(css_magnitudes(j, 1.3), _css_magnitudes_reference(j, 1.3)[:, 0])
+
     def test_polar_state_is_highest_weight(self):
         s = make_css(5, CoherentSpinParams(alpha=0, beta=0))
         expect = np.zeros(11)
