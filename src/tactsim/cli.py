@@ -20,9 +20,9 @@ from pathlib import Path
 import click
 
 from .dynamics import PropagationError, TwistProtocol, evolve, make_sss, tact_generator
-from .fitting import FitError, fit
+from .fitting import FAMILY_NAMES, FitError, fit
 from .observables import prob_distribution, qpd
-from .reproduce import run_reproduction
+from .reproduce import SERIES_COLUMNS, run_reproduction
 from .scan import METRICS, ScanSpec, scan_tau
 from .states import (
     CoherentSpinParams,
@@ -322,8 +322,7 @@ def _read_pairs(path):
 
 
 @main.command(name="fit")
-@click.option("--family", type=click.Choice(["sq_power_offset", "shifted_power",
-                                             "log_over_linear"]), required=True)
+@click.option("--family", type=click.Choice(FAMILY_NAMES), required=True)
 @click.option("--data", "data_path", type=click.Path(exists=True, dir_okay=False),
               required=True, help="CSV with two columns: J, value.")
 @click.option("--init", default=None, help="Comma-separated initial parameters.")
@@ -358,16 +357,10 @@ def reproduce_cmd(settings, j_list, grid, out):
         out_path = _out_dir(settings, out)
         _write_json(out_path / "report.json", report.to_json_dict())
         (out_path / "report.txt").write_text(report.to_text() + "\n")
-        _write_csv(out_path / "sweep.csv",
-                   ("j", "metric", "tau_star", "value_star", "grid_size",
-                    "tol", "status"),
-                   [tuple(row.to_csv_dict().values()) for row in report.sweep_rows])
-        series_cols = ["j", "tau_fid_ewss", "value_fid_ewss", "tau_fid_tfs",
-                       "value_fid_tfs", "tau_var_z_max", "value_var_z_max",
-                       "tau_var_y_min", "value_var_y_min",
-                       "dz_at_tau_ewss", "dz_at_tau_tfs"]
-        _write_csv(out_path / "series.csv", series_cols,
-                   [tuple(entry.get(col, math.nan) for col in series_cols)
+        sweep = [row.to_csv_dict() for row in report.sweep_rows]
+        _write_csv(out_path / "sweep.csv", sweep[0].keys(), [row.values() for row in sweep])
+        _write_csv(out_path / "series.csv", SERIES_COLUMNS,
+                   [[entry.get(col, math.nan) for col in SERIES_COLUMNS]
                     for entry in report.series])
         _write_csv(out_path / "fit_comparison.csv",
                    ("key", "family", "fitted_params", "published_params",

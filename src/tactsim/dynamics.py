@@ -18,17 +18,8 @@ its columns are the Jx eigenvectors with the exact eigenvalues M, so every
 other axis and angle is a phase-dressed product with Delta (see
 ``_rotation_cache``).  Rotation matrices are cached read-only.
 
-Two independent oracles take any generator on the whole dense matrix; the
-tests cross-check the propagator against them:
-
-* ``dense_expm_evolve``: scaling-and-squaring (scipy; Moler & Van Loan,
-  SIAM Rev. 45, 3 (2003)).
-* ``krylov_evolve``: Lanczos exponential action (Hochbruck & Lubich,
-  SINUM 34, 1911 (1997)) with full reorthogonalization and adaptive
-  substepping, its substep error controlled through the residual estimate
-  beta0 * beta_{m+1} * dt * |y_m|.  If the accumulated estimate cannot be
-  brought below ``_KRYLOV_TOL`` within ``_KRYLOV_MAX_SUBSTEPS`` it fails
-  loudly instead of returning an inaccurate state.
+The tests cross-check the propagator against two oracles that take any
+generator on its whole dense matrix (``tests/oracles.py``).
 """
 
 import math
@@ -51,10 +42,6 @@ from .operators import (  # noqa: F401
 )
 from .states import SpinState, basis_state
 
-_KRYLOV_M = 40
-_KRYLOV_STEP_BUDGET = 0.3  # target ||G||*dt per substep, in units of m
-_KRYLOV_TOL = 1e-10
-_KRYLOV_MAX_SUBSTEPS = 4096
 _EVOLVE_NORM_TOL = 1e-10
 _EIGEN_CACHE_SIZE = 32  # twisting parity blocks: one per (J, chi, gamma) from |J,J>
 _ROTATION_CACHE_SIZE = 32
@@ -74,15 +61,12 @@ class TwistProtocol:
 
     chi: float = 1.0
     gamma: float = 0.0
-    tau: float = 0.0
     rotation_axis: object = "y"
     rotation_angle: float = math.pi / 2
 
     def __post_init__(self):
         if not (self.chi > 0 and math.isfinite(self.chi)):
             raise ValueError("chi must be positive and finite")
-        if not (self.tau >= 0 and math.isfinite(self.tau)):
-            raise ValueError("tau must be nonnegative and finite")
         if not math.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
         if not math.isfinite(self.rotation_angle):
@@ -130,75 +114,6 @@ def tact_generator(j, chi=1.0, gamma=0.0) -> BandedOperator:
     return BandedOperator(j, {2: upper, -2: lower}, SKEW_HERMITIAN)
 
 
-def _lanczos_step(g, v, dt, m):
-    """exp(dt*G) v for one substep, G skew-hermitian, via Lanczos on iG.
-
-    Returns (result, local error estimate).
-    """
-    n = v.shape[0]
-    beta0 = float(np.linalg.norm(v))
-    if beta0 == 0.0:
-        return v.copy(), 0.0
-    m = min(m, n)
-    V = np.empty((m, n), dtype=complex)
-    alpha = np.zeros(m)
-    beta = np.zeros(m)  # beta[k] couples basis vectors k-1 and k
-    V[0] = v / beta0
-    used = m
-    beta_next = 0.0
-    for k in range(m):
-        w = 1j * _matvec(g, V[k])
-        ak = float(np.vdot(V[k], w).real)
-        w -= ak * V[k]
-        if k:
-            w -= beta[k] * V[k - 1]
-        proj = np.conj(V[: k + 1] @ np.conj(w))  # <V_i, w> without copying V
-        w -= V[: k + 1].T @ proj
-        alpha[k] = ak
-        b = float(np.linalg.norm(w))
-        if k + 1 < m:
-            if b <= 1e-14 * max(1.0, abs(ak)):
-                used = k + 1
-                break
-            beta[k + 1] = b
-            V[k + 1] = w / b
-        else:
-            beta_next = b
-    lam, Q = scipy.linalg.eigh_tridiagonal(alpha[:used], beta[1:used])
-    y = Q @ (np.exp(-1j * dt * lam) * Q[0])
-    out = beta0 * (y @ V[:used])
-    err = beta0 * beta_next * abs(dt) * abs(y[-1])
-    return out, err
-
-
-def _krylov_expm_action(g, v, tau):
-    """exp(tau*g) v; real for a real g and v, since exp(tau*g) is then real."""
-    real = not np.iscomplexobj(g) and not np.any(np.imag(v))
-    work = np.asarray(v, dtype=complex)
-    n = g.shape[0]
-    m = min(_KRYLOV_M, n)
-    if m >= n:
-        n_sub = 1  # the Krylov space spans everything; one step is exact
-    else:
-        sup_norm = float(np.abs(g).sum(axis=1).max())
-        n_sub = max(1, math.ceil(abs(tau) * sup_norm / (_KRYLOV_STEP_BUDGET * m)))
-    while True:
-        if n_sub > _KRYLOV_MAX_SUBSTEPS:
-            raise PropagationError(f"accuracy {_KRYLOV_TOL:g} not reached "
-                                   f"within {_KRYLOV_MAX_SUBSTEPS} substeps")
-        dt = tau / n_sub
-        w = work
-        err = 0.0
-        for _ in range(n_sub):
-            w, e = _lanczos_step(g, w, dt, m)
-            err += e
-            if err > _KRYLOV_TOL:
-                break
-        if err <= _KRYLOV_TOL:
-            return w.real if real else w
-        n_sub *= 2
-
-
 def _matvec(a, x):
     """a @ x for a vector or a block of columns x.
 
@@ -222,11 +137,6 @@ def _unit_columns(out, what):
     if not worst <= _EVOLVE_NORM_TOL:
         raise PropagationError(f"{what} norm deviates from 1 by {worst:.3e}")
     return np.asarray(out, dtype=complex) / nrm
-
-
-def _spin_state(j, amplitudes) -> SpinState:
-    return SpinState(j=j, amplitudes=amplitudes,
-                     real_flag=bool(np.all(amplitudes.imag == 0.0)))
 
 
 class _TridiagonalExp:
@@ -300,8 +210,8 @@ def evolve_many(state: SpinState, generator: BandedOperator, taus) -> np.ndarray
     taus = _checked_taus(state, generator, taus)
     if not (generator.even_offsets_only and generator.hermiticity_tag == SKEW_HERMITIAN):
         raise ValueError("evolve_many takes only parity-preserving skew-hermitian "
-                         "generators; the oracles dense_expm_evolve and "
-                         "krylov_evolve take any")
+                         "generators; the test oracles dense_expm_evolve and "
+                         "krylov_evolve (tests/oracles.py) take any")
     v = state.amplitudes
     out = np.zeros((state.dim, len(taus)), dtype=complex)
     for sector in (slice(0, None, 2), slice(1, None, 2)):
@@ -316,27 +226,7 @@ def evolve(state: SpinState, generator: BandedOperator, tau) -> SpinState:
     tau = 0 returns the input unchanged once the arguments are checked.
     """
     amplitudes = evolve_many(state, generator, [tau])[:, 0]
-    return state if tau == 0.0 else _spin_state(state.j, amplitudes)
-
-
-def _oracle_evolve(state, generator, tau, action) -> SpinState:
-    """action(g, v, tau) = exp(tau*g) v on the whole dense generator, with
-    the checks of ``evolve_many``; any generator is taken."""
-    tau = _checked_taus(state, generator, [tau])[0]
-    g = generator.to_dense()
-    out = action(g.real if generator.is_real else g, state.amplitudes, tau)
-    return _spin_state(state.j, _unit_columns(out, "propagated"))
-
-
-def dense_expm_evolve(state: SpinState, generator: BandedOperator, tau) -> SpinState:
-    """Oracle: exp(G*tau) applied to the state by scaling-and-squaring."""
-    return _oracle_evolve(state, generator, tau,
-                          lambda g, v, t: scipy.linalg.expm(g * t) @ v)
-
-
-def krylov_evolve(state: SpinState, generator: BandedOperator, tau) -> SpinState:
-    """Oracle: exp(G*tau) applied to the state by a substepped Lanczos action."""
-    return _oracle_evolve(state, generator, tau, _krylov_expm_action)
+    return state if tau == 0.0 else SpinState(state.j, amplitudes)
 
 
 def _wigner_quarter(two_j):
@@ -434,7 +324,7 @@ def rotate(state: SpinState, axis, angle) -> SpinState:
         out = np.exp(-1j * angle * m_values(state.j)) * state.amplitudes
     else:
         out = _matvec(_rotation_cache(validate_spin(state.j), axis, angle), state.amplitudes)
-    return _spin_state(state.j, _unit_columns(out, "rotated"))
+    return SpinState(state.j, _unit_columns(out, "rotated"))
 
 
 @lru_cache(maxsize=_GENERATOR_CACHE_SIZE)
@@ -458,15 +348,13 @@ def _twist_spectrum(j, chi, gamma):
     return eig.values, basis, coeffs
 
 
-def make_sss(j, tau=None, protocol: TwistProtocol = DEFAULT_PROTOCOL) -> SpinState:
+def make_sss(j, tau, protocol: TwistProtocol = DEFAULT_PROTOCOL) -> SpinState:
     """Squeeze |J,J> for time tau, then apply the protocol rotation.
 
     This is the canonical post-rotation squeezed state the squeezing
     metrics are defined on; scans score them on the twisted state before
-    the rotation instead (see ``scan``).  tau defaults to protocol.tau.
+    the rotation instead (see ``scan``).
     """
-    if tau is None:
-        tau = protocol.tau
     if not (tau >= 0 and math.isfinite(tau)):
         raise ValueError("tau must be nonnegative and finite")
     initial = basis_state(j, j)

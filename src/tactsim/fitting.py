@@ -63,12 +63,10 @@ class FitResult:
     converged: bool
 
     def to_json_dict(self) -> dict:
-        spec = _family_spec(self.model.family)
+        names = _family_spec(self.model.family).param_names
         return {
-            "family": self.model.family,
-            "params": dict(zip(spec.param_names, self.model.params)),
-            "param_se": dict(zip(spec.param_names,
-                                 [None if math.isnan(s) else s for s in self.param_se])),
+            **self.model.to_json_dict(),
+            "param_se": dict(zip(names, [None if math.isnan(s) else s for s in self.param_se])),
             "rss": self.rss,
             "n_points": self.n_points,
             "iterations": self.iterations,
@@ -230,10 +228,9 @@ def _gradient_cosine(jac, g, rss):
     return float((np.abs(g) / (cols * math.sqrt(rss))).max())
 
 
-def fit(family: str, data, init=None,
-        max_iterations: int = MAX_ITERATIONS,
-        gradient_tol: float = GRADIENT_TOL) -> FitResult:
-    """Least-squares fit of one family to (J, y) pairs.
+def fit(family: str, data, init=None) -> FitResult:
+    """Least-squares fit of one family to (J, y) pairs, for at most
+    MAX_ITERATIONS iterations, converged at GRADIENT_TOL.
 
     Args:
         family: one of FAMILY_NAMES.
@@ -260,12 +257,12 @@ def fit(family: str, data, init=None,
         rss = float(r @ r)
         rss_floor = (1e-14 * (1.0 + float(np.linalg.norm(yy)))) ** 2
         lam, converged, iterations = 1e-3, False, 0
-        for iterations in range(1, max_iterations + 1):
+        for iterations in range(1, MAX_ITERATIONS + 1):
             jac = spec.jacobian(jj, p)
             if not np.isfinite(jac).all():
                 raise FitError("Jacobian left the model domain during iteration")
             g = jac.T @ r
-            if rss <= rss_floor or _gradient_cosine(jac, g, rss) <= gradient_tol:
+            if rss <= rss_floor or _gradient_cosine(jac, g, rss) <= GRADIENT_TOL:
                 converged = True
                 break
             jtj = jac.T @ jac
@@ -293,7 +290,7 @@ def fit(family: str, data, init=None,
                 break  # damping exhausted; report honestly below
         jac = spec.jacobian(jj, p)
         if not converged and np.isfinite(jac).all():
-            converged = rss <= rss_floor or _gradient_cosine(jac, jac.T @ r, rss) <= gradient_tol
+            converged = rss <= rss_floor or _gradient_cosine(jac, jac.T @ r, rss) <= GRADIENT_TOL
         param_se = _standard_errors(jac, rss, len(jj), len(p))
     model = FitModel(family=family, params=tuple(p))
     return FitResult(model=model, rss=rss, param_se=param_se,

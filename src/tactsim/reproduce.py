@@ -22,24 +22,30 @@ from .reference import REFERENCE_LAWS, reference_value
 from .scan import scaling_sweep, squeezed_state  # noqa: F401
 
 SWEEP_METRICS = ("fid_ewss", "fid_tfs", "var_z_max", "var_y_min")
-
-# the series column that feeds each fitted law
-LAW_SOURCES = {
-    "fid_ewss_max": "value_fid_ewss",
-    "fid_tfs_max": "value_fid_tfs",
-    "dz_at_tau_ewss": "dz_at_tau_ewss",
-    "dz_at_tau_tfs": "dz_at_tau_tfs",
-    "dz_max": "value_var_z_max",
-    "tau_ewss": "tau_fid_ewss",
-    "tau_tfs": "tau_fid_tfs",
-    "tau_dz_max": "tau_var_z_max",
-}
+# (metric, column): the Jz standard deviation of the state at that metric's optimum
+DZ_AT_OPTIMUM = (("fid_ewss", "dz_at_tau_ewss"), ("fid_tfs", "dz_at_tau_tfs"))
+SERIES_COLUMNS = ("j",) + tuple(f"{kind}_{metric}" for metric in SWEEP_METRICS
+                                for kind in ("tau", "value")) + tuple(
+                                    column for _, column in DZ_AT_OPTIMUM)
 
 TAU_CHECK_JS = (20, 50, 100)
+TAU_CHECK_LAWS = ("tau_ewss", "tau_tfs", "tau_dz_max")
 TAU_CHECK_REL_TOL = 0.05
 FID_TFS_VALUE_TOL = 0.01
+_FID_TFS_J50 = reference_value("fid_tfs_max", 50)
+# (name, series column, pass test, requirement) of the fidelity checks at J=50
+FIDELITY_CHECKS_J50 = (
+    ("twin_fock_fidelity_value_j50", "value_fid_tfs",
+     lambda f: abs(f - _FID_TFS_J50) <= FID_TFS_VALUE_TOL,
+     f"reference {_FID_TFS_J50:.6f}, tol {FID_TFS_VALUE_TOL}"),
+    ("ewss_fidelity_value_j50", "value_fid_ewss", lambda f: 0.98 < f < 1.0,
+     "required within (0.98, 1.0)"),
+)
 DZ_BAND = {"dz_max": 0.03, "dz_at_tau_tfs": 0.03, "dz_at_tau_ewss": 0.10}
 DZ_EXPONENT_BAND = 0.05
+# (first column, second column, label) of the time orderings recorded as notes
+ORDERING_NOTES = (("tau_var_z_max", "tau_fid_tfs", "tau(max dJz) {} tau(TFS)"),
+                  ("tau_var_y_min", "tau_fid_ewss", "tau(min dJy) {} tau(EWSS)"))
 
 
 @dataclass
@@ -160,11 +166,10 @@ def run_reproduction(j_list, n_grid: int = 512) -> ReproductionReport:
                 continue
             entry[f"tau_{metric}"] = row.tau_star
             entry[f"value_{metric}"] = row.value_star
-        for metric, label in (("fid_ewss", "dz_at_tau_ewss"),
-                              ("fid_tfs", "dz_at_tau_tfs")):
+        for metric, column in DZ_AT_OPTIMUM:
             row = by_key[(j, metric)]
             if row.status == "ok":
-                entry[label] = math.sqrt(spin_moments(row.result.state).variance_z)
+                entry[column] = math.sqrt(spin_moments(row.result.state).variance_z)
         series.append(entry)
 
     fit_rows = _fit_all_laws(series, j_list)
@@ -177,12 +182,11 @@ def run_reproduction(j_list, n_grid: int = 512) -> ReproductionReport:
 
 def _fit_all_laws(series, j_list):
     rows = []
-    for key, column in LAW_SOURCES.items():
-        law = REFERENCE_LAWS[key]
-        row = FitRow(key=key, family=law.model.family,
+    for law in REFERENCE_LAWS.values():
+        row = FitRow(key=law.key, family=law.model.family,
                      published=law.model.params, stated_range=law.stated_range)
-        entries = [entry for entry in series if column in entry]
-        jj, yy = [entry["j"] for entry in entries], [entry[column] for entry in entries]
+        entries = [entry for entry in series if law.column in entry]
+        jj, yy = [entry["j"] for entry in entries], [entry[law.column] for entry in entries]
         row.j_range = f"J in [{min(jj):g}, {max(jj):g}] ({len(jj)} points)" if jj else "no data"
         try:
             if len(jj) < 3:
@@ -205,30 +209,16 @@ def _run_checks(j_list, by_key, series, fit_rows):
     checks = []
     entry_by_j = {e["j"]: e for e in series}
 
-    # fidelity values at J=50
-    if 50 in entry_by_j and "value_fid_tfs" in entry_by_j[50]:
-        target = reference_value("fid_tfs_max", 50)
-        got = entry_by_j[50]["value_fid_tfs"]
-        ok = abs(got - target) <= FID_TFS_VALUE_TOL
-        checks.append(Check(
-            "twin_fock_fidelity_value_j50", "pass" if ok else "fail",
-            f"F = {got:.6f}, reference {target:.6f}, tol {FID_TFS_VALUE_TOL}"))
-    else:
-        checks.append(Check("twin_fock_fidelity_value_j50", "skipped",
-                            "needs J=50 in the sweep"))
-    if 50 in entry_by_j and "value_fid_ewss" in entry_by_j[50]:
-        got = entry_by_j[50]["value_fid_ewss"]
-        ok = 0.98 < got < 1.0
-        checks.append(Check(
-            "ewss_fidelity_value_j50", "pass" if ok else "fail",
-            f"F = {got:.6f}, required within (0.98, 1.0)"))
-    else:
-        checks.append(Check("ewss_fidelity_value_j50", "skipped",
-                            "needs J=50 in the sweep"))
+    entry_50 = entry_by_j.get(50, {})
+    for name, column, passes, requirement in FIDELITY_CHECKS_J50:
+        if column in entry_50:
+            got = entry_50[column]
+            checks.append(Check(name, "pass" if passes(got) else "fail",
+                                f"F = {got:.6f}, {requirement}"))
+        else:
+            checks.append(Check(name, "skipped", "needs J=50 in the sweep"))
 
     # pointwise optimal times against the reference laws
-    law_for_tau = {"fid_ewss": "tau_ewss", "fid_tfs": "tau_tfs",
-                   "var_z_max": "tau_dz_max"}
     for j in TAU_CHECK_JS:
         if j not in entry_by_j:
             checks.append(Check(f"tau_within_5pct_j{j}", "skipped",
@@ -236,12 +226,12 @@ def _run_checks(j_list, by_key, series, fit_rows):
             continue
         entry = entry_by_j[j]
         worst = None
-        for metric, law_key in law_for_tau.items():
-            tau_key = f"tau_{metric}"
-            if tau_key not in entry:
+        for law_key in TAU_CHECK_LAWS:
+            column = REFERENCE_LAWS[law_key].column
+            if column not in entry:
                 continue
             ref = reference_value(law_key, j)
-            rel = abs(entry[tau_key] - ref) / ref
+            rel = abs(entry[column] - ref) / ref
             if worst is None or rel > worst[1]:
                 worst = (law_key, rel)
         if worst is None:
@@ -291,17 +281,10 @@ def _run_checks(j_list, by_key, series, fit_rows):
 def _ordering_notes(series):
     notes = []
     for entry in series:
-        j = entry["j"]
-        if "tau_var_z_max" in entry and "tau_fid_tfs" in entry:
-            order = "<" if entry["tau_var_z_max"] < entry["tau_fid_tfs"] else ">="
-            notes.append(
-                f"J={j:g}: tau(max dJz) {order} tau(TFS) "
-                f"({entry['tau_var_z_max']:.6g} vs {entry['tau_fid_tfs']:.6g}); "
-                "recorded, not asserted")
-        if "tau_var_y_min" in entry and "tau_fid_ewss" in entry:
-            order = "<" if entry["tau_var_y_min"] < entry["tau_fid_ewss"] else ">="
-            notes.append(
-                f"J={j:g}: tau(min dJy) {order} tau(EWSS) "
-                f"({entry['tau_var_y_min']:.6g} vs {entry['tau_fid_ewss']:.6g}); "
-                "recorded, not asserted")
+        for first, second, label in ORDERING_NOTES:
+            if first in entry and second in entry:
+                order = "<" if entry[first] < entry[second] else ">="
+                notes.append(f"J={entry['j']:g}: {label.format(order)} "
+                             f"({entry[first]:.6g} vs {entry[second]:.6g}); "
+                             "recorded, not asserted")
     return notes

@@ -43,13 +43,11 @@ class CoherentSpinParams:
 class SpinState:
     """Normalized pure state of a collective spin J.
 
-    amplitudes[i] is the coefficient of |J, M=J-i>.  real_flag is advisory
-    metadata: when set, every imaginary part is exactly zero.
+    amplitudes[i] is the coefficient of |J, M=J-i>.
     """
 
     j: float
     amplitudes: np.ndarray
-    real_flag: bool = False
 
     def __post_init__(self):
         n = spin_dimension(self.j)
@@ -61,11 +59,14 @@ class SpinState:
         nrm2 = float(np.sum(amps.real**2 + amps.imag**2))
         if abs(nrm2 - 1.0) > NORM_TOL:
             raise ValueError(f"state norm^2 deviates from 1 by {nrm2 - 1.0:.3e}")
-        if self.real_flag and np.any(amps.imag != 0.0):
-            raise ValueError("real_flag set but amplitudes have imaginary parts")
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+
+    @property
+    def real_flag(self) -> bool:
+        """True when every imaginary part is exactly zero."""
+        return not np.any(self.amplitudes.imag)
 
     @property
     def dim(self) -> int:
@@ -86,17 +87,12 @@ class SpinState:
         amps = np.array(
             [complex(re, im) for re, im in record["amplitudes"]], dtype=complex
         )
-        return cls(
-            j=float(record["j"]),
-            amplitudes=amps,
-            real_flag=bool(np.all(amps.imag == 0.0)),
-        )
+        return cls(j=float(record["j"]), amplitudes=amps)
 
 
-def _normalized(j, amps, real_flag=False) -> SpinState:
+def _normalized(j, amps) -> SpinState:
     amps = np.asarray(amps, dtype=complex)
-    amps = amps / np.linalg.norm(amps)
-    return SpinState(j=j, amplitudes=amps, real_flag=real_flag)
+    return SpinState(j=j, amplitudes=amps / np.linalg.norm(amps))
 
 
 def basis_state(j, m) -> SpinState:
@@ -107,7 +103,7 @@ def basis_state(j, m) -> SpinState:
         raise ValueError(f"M={m} is not a level of spin J={j}")
     amps = np.zeros(spin_dimension(j), dtype=complex)
     amps[idx] = 1.0
-    return SpinState(j=j, amplitudes=amps, real_flag=True)
+    return SpinState(j=j, amplitudes=amps)
 
 
 def css_magnitudes(j, beta) -> np.ndarray:
@@ -147,16 +143,13 @@ def make_css(j, params: CoherentSpinParams = None) -> SpinState:
     validate_spin(j)
     mag = css_magnitudes(j, params.beta)
     k = np.arange(spin_dimension(j))
-    amps = mag * np.exp(1j * k * params.alpha)
-    real = bool(np.all(amps.imag == 0.0))
-    return _normalized(j, amps, real_flag=real)
+    return _normalized(j, mag * np.exp(1j * k * params.alpha))
 
 
 def make_ewss(j) -> SpinState:
     """Equally-weighted superposition: amplitude 1/sqrt(2J+1) at every M."""
     n = spin_dimension(j)
-    return SpinState(j=j, amplitudes=np.full(n, 1.0 / math.sqrt(n), dtype=complex),
-                     real_flag=True)
+    return SpinState(j=j, amplitudes=np.full(n, 1.0 / math.sqrt(n), dtype=complex))
 
 
 def make_twin_fock(j) -> SpinState:
@@ -171,7 +164,7 @@ def make_twin_fock(j) -> SpinState:
                - gammaln((two_j - k) / 2 + 1) - gammaln(k / 2 + 1))
     amps = np.zeros(two_j + 1, dtype=complex)
     amps[::2] = (1, -1j, -1, 1j)[two_j // 2 % 4] * np.exp(log_amp)  # (-i)^J, exactly
-    return _normalized(j, amps, real_flag=two_j % 4 == 0)
+    return _normalized(j, amps)
 
 
 def make_cat(j) -> SpinState:
@@ -179,4 +172,4 @@ def make_cat(j) -> SpinState:
     n = spin_dimension(j)
     amps = np.zeros(n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2)
-    return SpinState(j=j, amplitudes=amps, real_flag=True)
+    return SpinState(j=j, amplitudes=amps)

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from tactsim.dynamics import dense_expm_evolve, evolve, krylov_evolve, tact_generator
+from oracles import dense_expm_evolve, krylov_evolve
+from tactsim.dynamics import evolve, tact_generator
 from tactsim.fitting import FitModel, evaluate, fit
 from tactsim.observables import prob_distribution, qpd, spin_moments
 from tactsim.reference import default_tau_max, reference_value

@@ -1,0 +1,76 @@
+"""The README's "File formats" section against the files the CLI writes and
+the tables they are written from, so the documented columns cannot drift."""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from tactsim.cli import main
+from tactsim.fitting import FAMILY_NAMES
+from tactsim.reproduce import SERIES_COLUMNS
+from tactsim.scan import SweepRow
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _file_formats():
+    """{file label: documented columns} and the documented fit families."""
+    section = README.read_text().split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    columns = {name: cols.split(",") for name, cols in
+               re.findall(r"^\* \*\*([^*]+)\*\*: (?:header|keys) `([^`]+)`", section, re.M)}
+    families = re.search(r"The `family` is one of\s+([^.]+)\.", section).group(1)
+    return columns, re.findall(r"`(\w+)`", families)
+
+
+DOCUMENTED, DOCUMENTED_FAMILIES = _file_formats()
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """{file label: the header (or top-level keys) of the file the CLI wrote}."""
+    out = tmp_path_factory.mktemp("formats")
+    runner = CliRunner()
+    for args in (["state", "--kind", "ewss", "--j", "1"],
+                 ["qpd", "--j", "1", "--kind", "ewss", "--grid", "4x3"],
+                 ["scan", "--j", "2", "--metric", "fid_tfs", "--grid", "32"],
+                 ["reproduce-paper", "--j-list", "2,3,4", "--grid", "32"]):
+        runner.invoke(main, args + ["--out", str(out)], catch_exceptions=False)
+    files = {"probability CSV": "state_ewss_j1_prob.csv", "QPD CSV": "qpd_ewss_j1.csv",
+             "scan CSV": "scan_fid_tfs_j2.csv", "sweep.csv": "sweep.csv",
+             "series.csv": "series.csv", "fit_comparison.csv": "fit_comparison.csv"}
+    headers = {label: (out / name).read_text().splitlines()[0].split(",")
+               for label, name in files.items()}
+    headers["report.json"] = list(json.loads((out / "report.json").read_text()))
+    return headers
+
+
+def test_every_written_file_is_documented(written):
+    assert set(DOCUMENTED) == set(written)
+
+
+@pytest.mark.parametrize("label", sorted(DOCUMENTED))
+def test_documented_columns_match_the_written_file(label, written):
+    assert DOCUMENTED[label] == written[label]
+
+
+def test_series_columns_are_the_one_table():
+    assert DOCUMENTED["series.csv"] == list(SERIES_COLUMNS)
+
+
+def test_sweep_columns_come_from_the_sweep_row():
+    row = SweepRow(j=1.0, metric="fid_ewss", tau_star=0.0, value_star=0.0,
+                   grid_size=8, refine_tol=0.0, status="ok")
+    assert DOCUMENTED["sweep.csv"] == list(row.to_csv_dict())
+
+
+def test_scan_columns_are_the_sweep_columns_without_status():
+    assert DOCUMENTED["scan CSV"] + ["status"] == DOCUMENTED["sweep.csv"]
+
+
+def test_documented_families():
+    assert DOCUMENTED_FAMILIES == list(FAMILY_NAMES)
+    fit_family = next(p for p in main.commands["fit"].params if p.name == "family")
+    assert list(fit_family.type.choices) == list(FAMILY_NAMES)

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oracles
+from oracles import dense_expm_evolve, krylov_evolve
 from tactsim import dynamics
 from tactsim.dynamics import (
     PropagationError,
     TwistProtocol,
     _rotation_matrix,
-    dense_expm_evolve,
     evolve,
     evolve_many,
-    krylov_evolve,
     make_sss,
     rotate,
     tact_generator,
@@ -119,8 +119,8 @@ class TestEvolve:
     def test_substep_cap_fails_loudly(self, monkeypatch):
         # dimension 121 exceeds the Krylov space, so real substepping is
         # needed and the cap of 1 cannot reach the tolerance
-        monkeypatch.setattr(dynamics, "_KRYLOV_TOL", 1e-12)
-        monkeypatch.setattr(dynamics, "_KRYLOV_MAX_SUBSTEPS", 1)
+        monkeypatch.setattr(oracles, "_KRYLOV_TOL", 1e-12)
+        monkeypatch.setattr(oracles, "_KRYLOV_MAX_SUBSTEPS", 1)
         with pytest.raises(PropagationError, match="substeps"):
             krylov_evolve(basis_state(60, 60), tact_generator(60), default_tau_max(60))
 
@@ -419,7 +419,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="chi"):
             TwistProtocol(chi=0.0)
         with pytest.raises(ValueError, match="tau"):
-            TwistProtocol(tau=-1.0)
+            make_sss(5, -1.0)
         with pytest.raises(ValueError, match="normalized"):
             TwistProtocol(rotation_axis=(1.0, 1.0, 0.0))
         with pytest.raises(ValueError, match="axis label"):

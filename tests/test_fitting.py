@@ -170,14 +170,6 @@ class TestValidation:
 
 
 class TestDiagnostics:
-    def test_iteration_cap_reports_unconverged(self):
-        wiggle = np.sin(np.arange(10))
-        data = [(j, y * (1 + 0.05 * w)) for (j, y), w in
-                zip(model_data("sq_power_offset", (0.5, 0.3, 0.8)), wiggle)]
-        res = fit("sq_power_offset", data, max_iterations=1)
-        assert not res.converged
-        assert res.iterations == 1
-
     def test_standard_errors_shrink_with_noise(self):
         data = model_data("log_over_linear", (2.0, 4.0))
         clean = fit("log_over_linear", data)

@@ -50,6 +50,20 @@ class TestFidelity:
         phased = SpinState(j=a.j, amplitudes=a.amplitudes * np.exp(0.7j))
         assert fidelity(phased, b) == pytest.approx(fidelity(a, b), abs=1e-15)
 
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(two_j=st.integers(1, 100), seed=st.integers(0, 2**32 - 1),
+           phase_a=st.floats(-10.0, 10.0), phase_b=st.floats(-10.0, 10.0))
+    def test_symmetric_and_phase_invariant_on_random_states(self, two_j, seed, phase_a,
+                                                            phase_b):
+        rng = np.random.default_rng(seed)
+        a, b = (rng.normal(size=(two_j + 1, 2)) @ np.array([1.0, 1j]) for _ in range(2))
+        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+        sa, sb = SpinState(two_j / 2, a), SpinState(two_j / 2, b)
+        assert fidelity(sa, sb) == fidelity(sb, sa)
+        phased = fidelity(SpinState(two_j / 2, a * np.exp(1j * phase_a)),
+                          SpinState(two_j / 2, b * np.exp(1j * phase_b)))
+        assert phased == pytest.approx(fidelity(sa, sb), abs=1e-14)
+
     def test_mismatched_spins_rejected(self):
         with pytest.raises(ValueError, match="different spins"):
             fidelity(make_ewss(1), make_ewss(2))

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_expm_evolve, krylov_evolve
 from tactsim import dynamics, scan
-from tactsim.dynamics import (PropagationError, dense_expm_evolve, krylov_evolve, make_sss,
-                              rotate, tact_generator)
+from tactsim.dynamics import PropagationError, make_sss, rotate, tact_generator
 from tactsim.observables import fidelity, spin_moments
 from tactsim.reference import default_tau_max, reference_value
 from tactsim.reproduce import run_reproduction

@@ -163,9 +163,11 @@ class TestSpinStateInvariants:
         with pytest.raises(ValueError, match="norm"):
             SpinState(j=0.5, amplitudes=np.array([1.0, 1.0]))
 
-    def test_real_flag_requires_exact_zero_imag(self):
-        with pytest.raises(ValueError, match="real_flag"):
-            SpinState(j=0.5, amplitudes=np.array([1j, 0.0]), real_flag=True)
+    def test_real_flag_follows_amplitudes(self):
+        assert SpinState(j=0.5, amplitudes=np.array([1.0, -0.0j])).real_flag
+        assert not SpinState(j=0.5, amplitudes=np.array([1j, 0.0])).real_flag
+        with pytest.raises(AttributeError):
+            make_ewss(1).real_flag = False
 
     def test_amplitudes_immutable(self):
         s = make_ewss(1)
