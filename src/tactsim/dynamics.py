@@ -16,7 +16,13 @@ Rotations need no eigensolve.  exp(-i pi/2 Jy) is the real Wigner matrix
 Delta = d^J(pi/2), built once per J by a three-term recursion in O(J^2);
 its columns are the Jx eigenvectors with the exact eigenvalues M, so every
 other axis and angle is a phase-dressed product with Delta (see
-``_rotation_cache``).  Rotation matrices are cached read-only.
+``_rotation_cache``), whose matrices are cached read-only.  Delta itself is
+stored once per J as two blocks of about (J+1) x (J+1): its top rows (M >= 0),
+split by column parity.  Rows -M are rows M times (-1)^(J-M'), so
+``_quarter_turn`` and its transpose ``_quarter_turn_t`` get the bottom half
+from the same two products, and skip a parity sector of the vector that is
+all zero.  The twisted |J,J> fills one sector, so ``make_sss`` multiplies it
+by the even block alone.
 
 The tests cross-check the propagator against two oracles that take any
 generator on its whole dense matrix (``tests/oracles.py``).
@@ -126,7 +132,7 @@ def _matvec(a, x):
     if not np.any(x.imag):
         return a @ x.real
     pairs = np.ascontiguousarray(x).view(float).reshape(x.shape[0], -1)
-    return (a @ pairs).view(complex).reshape(x.shape)
+    return (a @ pairs).view(complex).reshape((a.shape[0],) + x.shape[1:])
 
 
 def _unit_columns(out, what):
@@ -229,29 +235,84 @@ def evolve(state: SpinState, generator: BandedOperator, tau) -> SpinState:
     return state if tau == 0.0 else SpinState(state.j, amplitudes)
 
 
+@lru_cache(maxsize=_ROTATION_CACHE_SIZE)
 def _wigner_quarter(two_j):
-    """Delta = d^J(pi/2) = exp(-i pi/2 Jy) for spin two_j/2, in O(J^2).
+    """The top rows (M >= 0) of Delta = d^J(pi/2) = exp(-i pi/2 Jy) for spin
+    two_j/2 as (even, odd): its even and its odd columns, two read-only
+    C-contiguous blocks of about (J+1) x (J+1), built in O(J^2).
 
     Column k is the Jx eigenvector with eigenvalue M' = J - k (Edmonds 1957).
     Its three-term recursion runs from the edge row inward, where the
-    amplitudes grow, and d_{-M,M'} = (-1)^(J-M') d_{M,M'} gives the lower
-    half.  The exact edge row sqrt(C(2J, k)) / 2^J underflows past J ~ 1000,
-    so each column starts from its sign, is rescaled past 1e150, and is
-    normalized at the end."""
+    amplitudes grow; the rows M < 0 are the mirror d_{-M,M'} = (-1)^(J-M')
+    d_{M,M'} and are never stored (``_quarter_turn``).  The exact edge row
+    sqrt(C(2J, k)) / 2^J underflows past J ~ 1000, so each column starts from
+    its sign, is rescaled past 1e150, and is normalized over both halves."""
     n = two_j + 1
+    top = (n + 1) // 2
     lad = np.concatenate(([0.0], ladder_coefficients(two_j / 2)))  # lad[i] couples i-1, i
-    twice_m = two_j - 2.0 * np.arange(n)
-    sign = 1.0 - 2.0 * (np.arange(n) % 2)  # (-1)^(J-M')
-    top = (n + 1) // 2  # the rows with M >= 0
-    delta = np.zeros((n, n))  # row -1 stays zero until the loop ends
-    delta[0] = sign
+    k = np.concatenate((np.arange(0, n, 2), np.arange(1, n, 2)))  # even columns first
+    twice_m = two_j - 2.0 * k
+    sign = 1.0 - 2.0 * (k % 2)  # (-1)^(J-M')
+    rows = np.zeros((top, n))  # row -1 stays zero until the loop ends
+    rows[0] = sign
     for i in range(top - 1):
-        delta[i + 1] = (twice_m * delta[i] - lad[i] * delta[i - 1]) / lad[i + 1]
-        delta[: i + 2, np.abs(delta[i + 1]) > 1e150] *= 1e-150
+        rows[i + 1] = (twice_m * rows[i] - lad[i] * rows[i - 1]) / lad[i + 1]
+        big = np.abs(rows[i + 1]) > 1e150
+        if big.any():
+            rows[: i + 2, big] *= 1e-150
     if n % 2:
-        delta[top - 1] *= sign > 0  # d_{0,M'} vanishes for odd J - M'
-    np.multiply(delta[n // 2 - 1::-1], sign, out=delta[top:])
-    delta /= np.sqrt(np.einsum("ij,ij->j", delta, delta))
+        rows[top - 1] *= sign > 0  # d_{0,M'} vanishes for odd J - M'
+    # the mirror counts every row twice but the M = 0 row
+    rows /= np.sqrt(2 * np.einsum("ij,ij->j", rows, rows) - (n % 2) * rows[top - 1] ** 2)
+    blocks = np.ascontiguousarray(rows[:, :top]), np.ascontiguousarray(rows[:, top:])
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
+
+
+def _quarter_turn(two_j, v):
+    """Delta v for a vector or a block of columns v, from Delta's blocks.
+
+    Row -M is row M times (-1)^(J-M'), so the top rows take even + odd and the
+    bottom rows even - odd, mirrored; a parity sector of v that is all zero
+    costs nothing."""
+    even, odd = _wigner_quarter(two_j)
+    top = len(even)
+    prods = [(_matvec(block, v[p::2]), mirror)
+             for p, block, mirror in ((0, even, np.add), (1, odd, np.subtract))
+             if np.any(v[p::2])]
+    out = np.zeros(v.shape, np.result_type(float, *(prod for prod, _ in prods)))
+    bottom = out[: top - 1: -1]
+    for prod, mirror in prods:
+        out[:top] += prod
+        mirror(bottom, prod[: len(bottom)], out=bottom)
+    return out
+
+
+def _quarter_turn_t(two_j, v):
+    """Delta^T v for a vector or a block of columns v, from Delta's blocks: v's
+    halves fold into v_M + v_-M for the even columns and v_M - v_-M for the
+    odd ones, and a fold that is all zero costs nothing."""
+    even, odd = _wigner_quarter(two_j)
+    top = len(even)
+    head, tail = v[:top], np.zeros_like(v[:top])
+    tail[: len(v) - top] = v[: top - 1: -1]
+    prods = [(p, _matvec(block.T, fold))
+             for p, block, fold in ((0, even, head + tail), (1, odd, head - tail))
+             if np.any(fold)]
+    out = np.zeros(v.shape, np.result_type(float, *(prod for _, prod in prods)))
+    for p, prod in prods:
+        out[p::2] = prod
+    return out
+
+
+def _quarter_turn_matrix(two_j):
+    """Delta as one dense matrix, assembled afresh from its blocks and not kept."""
+    even, odd = _wigner_quarter(two_j)
+    n, top = two_j + 1, len(even)
+    delta = np.empty((n, n))
+    delta[:top, 0::2], delta[:top, 1::2] = even, odd
+    delta[: top - 1: -1] = delta[: n - top] * (1.0 - 2.0 * (np.arange(n) % 2))
     return delta
 
 
@@ -272,26 +333,26 @@ def _x_rotation(quarter, m, angle):
 def _rotation_cache(two_j, axis, angle):
     """exp(-i * angle * J_axis) for spin two_j/2, shared read-only.
 
-    Delta = exp(-i pi/2 Jy) is the ("y", pi/2) entry.  An axis at polar
-    angle theta and azimuth phi gives P V diag(exp(-i angle M)) V^T P* with
-    V = d(theta) (Delta in the xy-plane) and P = exp(i phi k), k = J - M;
-    for y, P = i^k exactly, so the matrix is exactly real.
+    An axis at polar angle theta and azimuth phi gives
+    P V diag(exp(-i angle M)) V^T P* with V = d(theta) (Delta, assembled for
+    the build only, in the xy-plane) and P = exp(i phi k), k = J - M; for y,
+    P = i^k exactly, so the matrix is exactly real.  The quarter turn about y
+    itself is never built here (``_rotation_matrix``).
     """
-    if axis == "y" and angle == math.pi / 2:
-        mat = _wigner_quarter(two_j)
+    x, y, z = _AXIS_VECTORS.get(axis, axis)
+    t = angle * math.hypot(x, y, z)  # a vector axis may miss unit length by 1e-12
+    m, k = two_j / 2 - np.arange(two_j + 1), np.arange(two_j + 1)
+    polar = math.atan2(math.hypot(x, y), z)
+    vec = (_quarter_turn_matrix(two_j) if polar == math.pi / 2
+           else _rotation_cache(two_j, "y", polar))
+    if z == 0:
+        core = _x_rotation(vec, m, t)
     else:
-        x, y, z = _AXIS_VECTORS.get(axis, axis)
-        t = angle * math.hypot(x, y, z)  # a vector axis may miss unit length by 1e-12
-        m, k = two_j / 2 - np.arange(two_j + 1), np.arange(two_j + 1)
-        vec = _rotation_cache(two_j, "y", math.atan2(math.hypot(x, y), z))
-        if z == 0:
-            core = _x_rotation(vec, m, t)
-        else:
-            core = (vec * np.cos(t * m)) @ vec.T - 1j * ((vec * np.sin(t * m)) @ vec.T)
-        phase = (np.array([1, 1j, -1, -1j])[k % 4] if axis == "y"
-                 else np.exp(1j * math.atan2(y, x) * k))
-        mat = phase[:, None] * core * np.conj(phase)
-        mat = np.ascontiguousarray(mat.real) if axis == "y" else mat
+        core = (vec * np.cos(t * m)) @ vec.T - 1j * ((vec * np.sin(t * m)) @ vec.T)
+    phase = (np.array([1, 1j, -1, -1j])[k % 4] if axis == "y"
+             else np.exp(1j * math.atan2(y, x) * k))
+    mat = phase[:, None] * core * np.conj(phase)
+    mat = np.ascontiguousarray(mat.real) if axis == "y" else mat
     mat.flags.writeable = False
     return mat
 
@@ -307,8 +368,12 @@ def _rotation_key(axis, angle):
 
 
 def _rotation_matrix(j, axis, angle):
-    """Cached exp(-i * angle * J_axis); real for y-like axes."""
-    return _rotation_cache(validate_spin(j), *_rotation_key(axis, float(angle)))
+    """exp(-i * angle * J_axis) as a dense matrix, real for y-like axes: cached,
+    but for the quarter turn about y, which is assembled from Delta's blocks."""
+    key = _rotation_key(axis, float(angle))
+    if key == ("y", math.pi / 2):
+        return _quarter_turn_matrix(validate_spin(j))
+    return _rotation_cache(validate_spin(j), *key)
 
 
 def rotate(state: SpinState, axis, angle) -> SpinState:
@@ -319,11 +384,14 @@ def rotate(state: SpinState, axis, angle) -> SpinState:
     if not math.isfinite(angle):
         raise ValueError("rotation angle must be finite")
     axis, angle = _rotation_key(axis, float(angle))
+    two_j = validate_spin(state.j)
     if axis == "z":
         # Jz is diagonal here; apply the phases exactly
         out = np.exp(-1j * angle * m_values(state.j)) * state.amplitudes
+    elif (axis, angle) == ("y", math.pi / 2):
+        out = _quarter_turn(two_j, state.amplitudes)
     else:
-        out = _matvec(_rotation_cache(validate_spin(state.j), axis, angle), state.amplitudes)
+        out = _matvec(_rotation_cache(two_j, axis, angle), state.amplitudes)
     return SpinState(state.j, _unit_columns(out, "rotated"))
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .dynamics import (
     DEFAULT_PROTOCOL,
     PropagationError,
-    _rotation_matrix,
+    _quarter_turn_t,
     _twist_spectrum,
     make_sss,
 )
@@ -47,8 +47,9 @@ _INV_PHI_SQ = (3 - math.sqrt(5)) / 2  # 1/phi^2
 
 
 def _bra_row(make_target, j, modes):
-    """|<target|R psi>|^2 = |<R^dag target|psi>|^2: one row, the bra target^dag R."""
-    bra = np.conj(make_target(j).amplitudes) @ _rotation_matrix(j, "y", math.pi / 2)
+    """|<target|R psi>|^2 = |<R^dag target|psi>|^2: one row, the bra target^dag R,
+    which is R^T conj(target) on Delta's real blocks."""
+    bra = _quarter_turn_t(validate_spin(j), np.conj(make_target(j).amplitudes))
     return bra[None] @ modes
 
 

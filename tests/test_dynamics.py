@@ -5,6 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import dense_expm_evolve, krylov_evolve
@@ -12,6 +14,9 @@ from tactsim import dynamics
 from tactsim.dynamics import (
     PropagationError,
     TwistProtocol,
+    _matvec,
+    _quarter_turn,
+    _quarter_turn_t,
     _rotation_matrix,
     evolve,
     evolve_many,
@@ -164,9 +169,10 @@ class TestSpectralDefault:
         assert not np.iscomplexobj(_rotation_matrix(20, (0.0, -1.0, 0.0), 0.7))
 
     def test_large_y_rotation_matrix_is_real_orthogonal(self):
-        mat = _rotation_matrix(400, "y", math.pi / 2)
-        assert mat.dtype == np.float64
-        assert np.max(np.abs(mat @ mat.T - np.eye(801))) <= 1e-12
+        eye = np.eye(801)
+        turned = _quarter_turn(800, eye)
+        assert turned.dtype == np.float64
+        assert np.max(np.abs(_quarter_turn_t(800, turned) - eye)) <= 1e-12
 
     @pytest.mark.parametrize("j", [3, 50, 100])
     def test_real_flag_survives_evolve_and_y_rotation(self, j):
@@ -280,10 +286,23 @@ class TestRotate:
         assert np.max(np.abs(rotate(s, tuple(axis), 2.9).amplitudes - expect)) <= 1e-12
 
     def test_quarter_turn_about_y_is_the_cached_wigner_matrix(self):
-        first = _rotation_matrix(30, "y", math.pi / 2)
-        assert _rotation_matrix(30, "y", math.pi / 2) is first
-        assert not first.flags.writeable
-        assert np.array_equal(first, dynamics._wigner_quarter(60))
+        blocks = dynamics._wigner_quarter(60)
+        assert dynamics._wigner_quarter(60) is blocks
+        for block in blocks:
+            assert block.flags.c_contiguous and not block.flags.writeable
+        dense = _rotation_matrix(30, "y", math.pi / 2)
+        assert np.array_equal(dense[:31, 0::2], blocks[0])
+        assert np.array_equal(dense[:31, 1::2], blocks[1])
+
+    def test_quarter_turns_keep_no_dense_matrix(self):
+        dynamics._rotation_cache.cache_clear()
+        s = make_css(40, CoherentSpinParams(alpha=0.3, beta=1.2))
+        make_sss(40, 0.01)
+        dense = _rotation_matrix(40, "y", math.pi / 2)
+        for axis in ("y", (0.0, 1.0, 0.0)):
+            turned = rotate(s, axis, math.pi / 2).amplitudes
+            assert np.max(np.abs(turned - dense @ s.amplitudes)) <= 1e-14
+        assert dynamics._rotation_cache.cache_info().currsize == 0
 
     @pytest.mark.parametrize("axis", ["x", "y", (0.48, 0.6, 0.64)])
     @pytest.mark.parametrize("j", [0.5, 1, 7.5, 50, 400])
@@ -327,15 +346,17 @@ class TestWignerQuarter:
 
     @pytest.mark.parametrize("two_j", [1, 2, 7, 14])
     def test_mirror_symmetry_is_exact(self, two_j):
-        delta = dynamics._wigner_quarter(two_j)
-        sign = (-1.0) ** np.arange(two_j + 1)  # (-1)^(J-M')
-        assert np.array_equal(delta[::-1], delta * sign)  # d_{-M,M'} = (-1)^(J-M') d_{M,M'}
+        # d_{-M,M'} = (-1)^(J-M') d_{M,M'}: even columns mirror, odd ones flip sign
+        eye = np.eye(two_j + 1)
+        even, odd = _quarter_turn(two_j, eye[:, 0::2]), _quarter_turn(two_j, eye[:, 1::2])
+        assert np.array_equal(even[::-1], even)
+        assert np.array_equal(odd[::-1], -odd)
         if two_j % 2 == 0:
-            assert np.all(delta[two_j // 2, 1::2] == 0.0)  # d_{0,M'} for odd J - M'
+            assert np.all(odd[two_j // 2] == 0.0)  # d_{0,M'} for odd J - M'
 
     @pytest.mark.parametrize("j", [1100, 2000])
     def test_against_closed_forms_and_jx(self, j):
-        delta = dynamics._wigner_quarter(2 * j)
+        delta = dynamics._quarter_turn_matrix(2 * j)
         m = np.arange(j, -j - 1, -1)
         # column M' = J is |J,J> turned by pi/2 about y: the coherent state
         css = make_css(j, CoherentSpinParams(beta=math.pi / 2)).amplitudes
@@ -346,13 +367,45 @@ class TestWignerQuarter:
         assert np.max(np.abs(delta[:, j] - quarter_turns * tfs)) <= 1e-12
         n = 2 * j + 1
         for v in (np.eye(n)[3], np.full(n, n ** -0.5), np.cos(np.arange(n)) / math.sqrt(n / 2)):
-            assert np.max(np.abs(delta.T @ (delta @ v) - v)) <= 1e-12
+            assert np.max(np.abs(_quarter_turn_t(2 * j, _quarter_turn(2 * j, v)) - v)) <= 1e-12
         # Jx Delta = Delta diag(M); Jx has norm J, so the residual is taken
         # relative to J (the absolute one is 1.5e-12 at J=1100, 1.7e-12 at 2000)
         jx = build_operator(j, "Jx")
         for cols in np.array_split(np.arange(n), 8):
             block = delta[:, cols]
             assert np.max(np.abs(jx.apply(block) - block * m[cols])) <= 1e-12 * j
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(two_j=st.integers(1, 400), sectors=st.sampled_from([(0,), (1,), (0, 1)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_block_apply_matches_the_dense_matrix(self, two_j, sectors, seed):
+        n, j = two_j + 1, two_j / 2
+        rng = np.random.default_rng(seed)
+        v = np.zeros(n, dtype=complex)
+        for p in sectors:
+            v[p::2] = rng.normal(size=len(v[p::2])) + 1j * rng.normal(size=len(v[p::2]))
+        v /= np.linalg.norm(v)
+        dense = dynamics._quarter_turn_matrix(two_j)
+        out = _quarter_turn(two_j, v)
+        assert np.max(np.abs(out - dense @ v)) <= 1e-14
+        assert np.max(np.abs(_quarter_turn_t(two_j, v) - dense.T @ v)) <= 1e-14
+        if sectors != (0, 1):  # rows -M are rows M times (-1)^(J-M')
+            assert np.array_equal(out[::-1], out if sectors == (0,) else -out)
+        resident = sum(block.nbytes for block in dynamics._wigner_quarter(two_j))
+        assert resident <= (j + 1) * (2 * j + 2) * 8
+
+
+class TestMatvec:
+    @pytest.mark.parametrize("shape", [(7, 4), (4, 7)])
+    @pytest.mark.parametrize("columns", [(), (3,)])
+    def test_real_block_times_complex_columns(self, shape, columns):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=shape)
+        x = rng.normal(size=shape[1:] + columns) + 1j * rng.normal(size=shape[1:] + columns)
+        out = _matvec(a, x)
+        assert out.shape == shape[:1] + columns
+        assert np.max(np.abs(out - a.astype(complex) @ x)) <= 1e-14
+        assert np.array_equal(_matvec(a, x.real + 0j), a @ x.real)
 
 
 def _mp_spin_matrices(j):

@@ -37,7 +37,7 @@ def _fit_row(key, params=None):
 
 def _checks(series, fit_rows=(), j_list=None):
     j_list = [e["j"] for e in series] if j_list is None else j_list
-    return {c.name: c for c in _run_checks(j_list, {}, series, list(fit_rows))}
+    return {c.name: c for c in _run_checks(j_list, series, list(fit_rows))}
 
 
 def _statuses(series, fit_rows=(), j_list=None):
@@ -57,9 +57,9 @@ class TestAllChecks:
         assert list(got) == list(ALL_CHECKS)
         assert set(got.values()) == {"pass"}
 
-    def test_an_empty_sweep_skips_all_but_the_ordering(self):
+    def test_an_empty_sweep_skips_every_check(self):
         got = _statuses([], j_list=[])
-        assert got.pop("ordering_tau_ewss_before_tau_tfs") == "pass"  # vacuous
+        assert list(got) == list(ALL_CHECKS)
         assert set(got.values()) == {"skipped"}
 
 
@@ -142,7 +142,13 @@ class TestOrdering:
         entry = _good_entry(20.0)
         entry["tau_fid_ewss"] = 2 * entry["tau_fid_tfs"]
         del entry["tau_fid_tfs"]
-        assert _statuses([entry])[self.NAME] == "pass"
+        assert _statuses([entry, _good_entry(50.0)])[self.NAME] == "pass"
+
+    def test_skipped_when_no_j_has_both_times(self):
+        entry = _good_entry(20.0)
+        del entry["tau_fid_tfs"]
+        check = _checks([entry, {"j": 50.0, "tau_fid_tfs": 0.1}])[self.NAME]
+        assert (check.status, check.detail) == ("skipped", "no J has both fidelity times")
 
 
 class TestCoefficientBands:

@@ -204,9 +204,17 @@ def test_oracle_methods_find_the_same_optimum(metric, method):
     assert abs(tau - res.tau_star) <= spec.refine_tol
 
 
+@pytest.mark.parametrize("make_target, j", [(make_ewss, 4), (make_ewss, 33.5), (make_ewss, 200),
+                                             (make_twin_fock, 4), (make_twin_fock, 200)])
+def test_bra_row_is_the_target_turned_back(make_target, j):
+    modes = scan._scan_basis(j, 0.0, default_tau_max(j), 8)[1]
+    bra = np.conj(make_target(j).amplitudes) @ dynamics._rotation_matrix(j, "y", math.pi / 2)
+    assert np.max(np.abs(scan._bra_row(make_target, j, modes) - bra @ modes)) <= 1e-14
+
+
 def test_scan_takes_one_eigensolve_and_no_per_tau_propagation(monkeypatch):
     dynamics._cached_eigensystem.cache_clear()
-    dynamics._rotation_matrix(50, "y", math.pi / 2)  # the protocol rotation, warm
+    dynamics._wigner_quarter(100)  # the protocol rotation, warm
     before = dynamics._cached_eigensystem.cache_info().misses
     taus = []
     evolve = dynamics.evolve
