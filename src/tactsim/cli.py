@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from .dynamics import PropagationError, TwistProtocol, evolve, make_sss, tact_generator
 from .fitting import FAMILY_NAMES, FitError, fit
@@ -34,7 +35,17 @@ from .states import (
     make_twin_fock,
 )
 
-STATE_KINDS = ("css", "ewss", "tfs", "cat", "sss")
+# state kind -> (the flags it reads, its factory from j and those flags' values)
+_STATE_FACTORIES = {
+    "css": (("alpha", "beta"),
+            lambda j, alpha, beta: make_css(j, CoherentSpinParams(alpha=alpha, beta=beta))),
+    "ewss": ((), make_ewss),
+    "tfs": ((), make_twin_fock),
+    "cat": ((), make_cat),
+    "sss": (("tau", "chi", "gamma"),
+            lambda j, tau, chi, gamma: make_sss(j, tau, TwistProtocol(chi=chi, gamma=gamma))),
+}
+STATE_KINDS = tuple(_STATE_FACTORIES)
 _FORMATS = ("json", "csv", "both")
 # config key -> the values it accepts (None: any, converted where it is used)
 _CONFIG_KEYS = {"format": _FORMATS, "out": None, "qpd-grid": None, "scan-grid": None}
@@ -141,19 +152,16 @@ def _out_dir(settings, out) -> Path:
     return path
 
 
-def _build_state(kind, j, alpha, beta, tau, chi, gamma) -> SpinState:
-    if kind == "css":
-        return make_css(j, CoherentSpinParams(alpha=alpha, beta=beta))
-    if kind == "ewss":
-        return make_ewss(j)
-    if kind == "tfs":
-        return make_twin_fock(j)
-    if kind == "cat":
-        return make_cat(j)
-    if kind == "sss":
-        protocol = TwistProtocol(chi=chi, gamma=gamma)
-        return make_sss(j, tau=tau, protocol=protocol)
-    raise ValueError(f"unknown state kind {kind!r}")
+def _build_state(kind, j, **flags) -> SpinState:
+    """The state of one kind from the flags it reads; a flag given on the
+    command line that the kind does not read fails naming it."""
+    reads, factory = _STATE_FACTORIES[kind]
+    source = click.get_current_context().get_parameter_source
+    for flag in flags:
+        if flag not in reads and source(flag) == ParameterSource.COMMANDLINE:
+            users = " or ".join(k for k, (used, _) in _STATE_FACTORIES.items() if flag in used)
+            raise ValueError(f"--{flag} is used only by --kind {users}")
+    return factory(j, *(flags[flag] for flag in reads))
 
 
 def _emit_state(out: Path, prefix: str, state: SpinState, fmt: str):
@@ -191,7 +199,7 @@ def state(settings, kind, j, alpha, beta, tau, chi, gamma, out, fmt):
     """Construct a named state; write its JSON record and P(M) CSV."""
     try:
         fmt = settings.get("format", fmt, "both")
-        st = _build_state(kind, j, alpha, beta, tau, chi, gamma)
+        st = _build_state(kind, j, alpha=alpha, beta=beta, tau=tau, chi=chi, gamma=gamma)
         prefix = f"state_{kind}_j{j:g}" + (f"_tau{tau:g}" if kind == "sss" else "")
         paths = _emit_state(_out_dir(settings, out), prefix, st, fmt)
     except (ValueError, PropagationError) as exc:
@@ -222,7 +230,7 @@ def qpd_cmd(settings, j, kind, tau, alpha, beta, chi, gamma, grid, out):
             kind = "sss"
         if kind == "sss" and tau is None:
             tau = 0.0
-        st = _build_state(kind, j, alpha, beta, tau, chi, gamma)
+        st = _build_state(kind, j, alpha=alpha, beta=beta, tau=tau, chi=chi, gamma=gamma)
         grid_result = qpd(st, n_phi=n_phi, n_theta=n_theta)
         out_path = _out_dir(settings, out)
         prefix = f"qpd_{kind}_j{j:g}" + (f"_tau{tau:g}" if kind == "sss" else "")

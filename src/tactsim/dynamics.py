@@ -12,17 +12,17 @@ block stays exactly zero.  Scans read the same cache for |J,J> alone
 (``_twist_spectrum``): lam, B = P V and w = V^T P* e_0, whose norm is checked
 once for every t, as |exp(-i lam t)| = 1.
 
-Rotations need no eigensolve.  exp(-i pi/2 Jy) is the real Wigner matrix
-Delta = d^J(pi/2), built once per J by a three-term recursion in O(J^2);
-its columns are the Jx eigenvectors with the exact eigenvalues M, so every
-other axis and angle is a phase-dressed product with Delta (see
-``_rotation_cache``), whose matrices are cached read-only.  Delta itself is
-stored once per J as two blocks of about (J+1) x (J+1): its top rows (M >= 0),
-split by column parity.  Rows -M are rows M times (-1)^(J-M'), so
-``_quarter_turn`` and its transpose ``_quarter_turn_t`` get the bottom half
-from the same two products, and skip a parity sector of the vector that is
-all zero.  The twisted |J,J> fills one sector, so ``make_sss`` multiplies it
-by the even block alone.
+Rotations need no eigensolve and no rotation matrix.  exp(-i pi/2 Jy) is the
+real Wigner matrix Delta = d^J(pi/2), built once per J by a three-term
+recursion in O(J^2) and stored as two blocks of about (J+1) x (J+1): its top
+rows (M >= 0), split by column parity.  Rows -M are rows M times
+(-1)^(J-M'), so ``_quarter_turn`` and its transpose ``_quarter_turn_t`` get
+the bottom half from the same two products, and skip a parity sector of the
+vector that is all zero.  The twisted |J,J> fills one sector, so
+``make_sss`` multiplies it by the even block alone.  Every other axis and
+angle is applied to the vector as diagonal phases exp(-i a Jz) and products
+with Delta and Delta^T (``_y_turn``, ``rotate``), in O(J^2) time and O(J)
+memory beyond Delta.
 
 The tests cross-check the propagator against two oracles that take any
 generator on its whole dense matrix (``tests/oracles.py``).
@@ -50,11 +50,10 @@ from .states import SpinState, basis_state
 
 _EVOLVE_NORM_TOL = 1e-10
 _EIGEN_CACHE_SIZE = 32  # twisting parity blocks: one per (J, chi, gamma) from |J,J>
-_ROTATION_CACHE_SIZE = 32
+_WIGNER_CACHE_SIZE = 32  # Delta blocks (_wigner_quarter): one per J
 _GENERATOR_CACHE_SIZE = 64
 
 AXIS_LABELS = ("x", "y", "z")
-_AXIS_VECTORS = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
 
 class PropagationError(RuntimeError):
@@ -235,7 +234,7 @@ def evolve(state: SpinState, generator: BandedOperator, tau) -> SpinState:
     return state if tau == 0.0 else SpinState(state.j, amplitudes)
 
 
-@lru_cache(maxsize=_ROTATION_CACHE_SIZE)
+@lru_cache(maxsize=_WIGNER_CACHE_SIZE)
 def _wigner_quarter(two_j):
     """The top rows (M >= 0) of Delta = d^J(pi/2) = exp(-i pi/2 Jy) for spin
     two_j/2 as (even, odd): its even and its odd columns, two read-only
@@ -306,60 +305,22 @@ def _quarter_turn_t(two_j, v):
     return out
 
 
-def _quarter_turn_matrix(two_j):
-    """Delta as one dense matrix, assembled afresh from its blocks and not kept."""
-    even, odd = _wigner_quarter(two_j)
-    n, top = two_j + 1, len(even)
-    delta = np.empty((n, n))
-    delta[:top, 0::2], delta[:top, 1::2] = even, odd
-    delta[: top - 1: -1] = delta[: n - top] * (1.0 - 2.0 * (np.arange(n) % 2))
-    return delta
-
-
-def _x_rotation(quarter, m, angle):
-    """exp(-i angle Jx) = Delta diag(exp(-i angle M)) Delta^T from three half-size
-    products: Jx flips the parity of M, so cos fills even a-b, -i sin odd a-b."""
-    cos, sin = np.cos(angle * m), np.sin(angle * m)
-    even, odd = quarter[0::2], quarter[1::2]
-    mat = np.empty((len(m), len(m)), dtype=complex)
-    mat[0::2, 0::2] = (even * cos) @ even.T
-    mat[1::2, 1::2] = (odd * cos) @ odd.T
-    mat[0::2, 1::2] = -1j * ((even * sin) @ odd.T)
-    mat[1::2, 0::2] = mat[0::2, 1::2].T
-    return mat
-
-
-@lru_cache(maxsize=_ROTATION_CACHE_SIZE)
-def _rotation_cache(two_j, axis, angle):
-    """exp(-i * angle * J_axis) for spin two_j/2, shared read-only.
-
-    An axis at polar angle theta and azimuth phi gives
-    P V diag(exp(-i angle M)) V^T P* with V = d(theta) (Delta, assembled for
-    the build only, in the xy-plane) and P = exp(i phi k), k = J - M; for y,
-    P = i^k exactly, so the matrix is exactly real.  The quarter turn about y
-    itself is never built here (``_rotation_matrix``).
-    """
-    x, y, z = _AXIS_VECTORS.get(axis, axis)
-    t = angle * math.hypot(x, y, z)  # a vector axis may miss unit length by 1e-12
-    m, k = two_j / 2 - np.arange(two_j + 1), np.arange(two_j + 1)
-    polar = math.atan2(math.hypot(x, y), z)
-    vec = (_quarter_turn_matrix(two_j) if polar == math.pi / 2
-           else _rotation_cache(two_j, "y", polar))
-    if z == 0:
-        core = _x_rotation(vec, m, t)
-    else:
-        core = (vec * np.cos(t * m)) @ vec.T - 1j * ((vec * np.sin(t * m)) @ vec.T)
-    phase = (np.array([1, 1j, -1, -1j])[k % 4] if axis == "y"
-             else np.exp(1j * math.atan2(y, x) * k))
-    mat = phase[:, None] * core * np.conj(phase)
-    mat = np.ascontiguousarray(mat.real) if axis == "y" else mat
-    mat.flags.writeable = False
-    return mat
+def _y_turn(two_j, beta, v):
+    """exp(-i beta Jy) v = P Delta Rz(beta) Delta^T P* v, with Rz(beta) =
+    exp(-i beta Jz) and P = i^(J-M), which is Rz(pi/2) up to a global phase
+    that cancels: exactly Delta v at beta = pi/2 and Delta^T v at -pi/2."""
+    if beta == math.pi / 2:
+        return _quarter_turn(two_j, v)
+    if beta == -math.pi / 2:
+        return _quarter_turn_t(two_j, v)
+    phase = np.array([1, 1j, -1, -1j])[np.arange(two_j + 1) % 4]
+    turned = np.exp(-1j * beta * m_values(two_j / 2)) * _quarter_turn_t(two_j, np.conj(phase) * v)
+    return phase * _quarter_turn(two_j, turned)
 
 
 def _rotation_key(axis, angle):
     """The rotation exp(-i angle n.J) as (label, angle) when n lies along a
-    coordinate axis, so y-like vectors get the real y matrix, else as given."""
+    coordinate axis, so y-like vectors take the real y route, else as given."""
     axis = _axis_key(axis)
     if isinstance(axis, tuple) and np.count_nonzero(axis) == 1:
         k = int(np.flatnonzero(axis)[0])
@@ -367,31 +328,34 @@ def _rotation_key(axis, angle):
     return axis, angle
 
 
-def _rotation_matrix(j, axis, angle):
-    """exp(-i * angle * J_axis) as a dense matrix, real for y-like axes: cached,
-    but for the quarter turn about y, which is assembled from Delta's blocks."""
-    key = _rotation_key(axis, float(angle))
-    if key == ("y", math.pi / 2):
-        return _quarter_turn_matrix(validate_spin(j))
-    return _rotation_cache(validate_spin(j), *key)
-
-
 def rotate(state: SpinState, axis, angle) -> SpinState:
     """Apply exp(-i * angle * J_axis); axis is "x", "y", "z" or a unit vector.
 
-    The result is verified to unit norm within 1e-10.
+    An axis at polar angle theta and azimuth phi turns the state by
+    Rz(phi) Ry(theta) Rz(angle) Ry(-theta) Rz(-phi), Rz(a) = exp(-i a Jz) as
+    phases and each Ry from products with Delta (``_y_turn``); no rotation
+    matrix is built.  The result is verified to unit norm within 1e-10.
     """
     if not math.isfinite(angle):
         raise ValueError("rotation angle must be finite")
     axis, angle = _rotation_key(axis, float(angle))
     two_j = validate_spin(state.j)
-    if axis == "z":
+    v = state.amplitudes
+    if (axis, angle) == ("y", math.pi / 2):
+        out = _quarter_turn(two_j, v)
+    elif axis == "z":
         # Jz is diagonal here; apply the phases exactly
-        out = np.exp(-1j * angle * m_values(state.j)) * state.amplitudes
-    elif (axis, angle) == ("y", math.pi / 2):
-        out = _quarter_turn(two_j, state.amplitudes)
+        out = np.exp(-1j * angle * m_values(state.j)) * v
+    elif axis == "y":
+        # exp(-i angle Jy) is real: turn the real and imaginary parts apart
+        out = _y_turn(two_j, angle, v.real).real + 1j * _y_turn(two_j, angle, v.imag).real
     else:
-        out = _matvec(_rotation_cache(two_j, axis, angle), state.amplitudes)
+        m = m_values(state.j)
+        x, y, z = (1.0, 0.0, 0.0) if axis == "x" else axis
+        polar, azimuth = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
+        t = angle * math.hypot(x, y, z)  # a vector axis may miss unit length by 1e-12
+        out = _y_turn(two_j, -polar, np.exp(1j * azimuth * m) * v)
+        out = np.exp(-1j * azimuth * m) * _y_turn(two_j, polar, np.exp(-1j * t * m) * out)
     return SpinState(state.j, _unit_columns(out, "rotated"))
 
 

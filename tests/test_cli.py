@@ -66,6 +66,24 @@ class TestStateCommand:
         assert "total spin must be finite" in result.output
 
 
+# (kind, a state flag that kind does not read, the one kind that reads it)
+_UNREAD_FLAGS = [(kind, flag, user)
+                 for user, flags in (("css", ("alpha", "beta")), ("sss", ("tau", "chi", "gamma")))
+                 for flag in flags for kind in ("css", "ewss", "tfs", "cat", "sss")
+                 if kind != user]
+
+
+@pytest.mark.parametrize("command", [["state"], ["qpd", "--grid", "4x3"]], ids=["state", "qpd"])
+@pytest.mark.parametrize("kind, flag, user", _UNREAD_FLAGS)
+def test_flag_the_kind_does_not_read_fails_by_name(runner, tmp_path, command, kind, flag, user):
+    result = runner.invoke(main, command + ["--kind", kind, "--j", "2", f"--{flag}", "0.3",
+                                            "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert f"--{flag} is used only by --kind {user}" in result.output
+    assert not any(tmp_path.iterdir())
+
+
 class TestQpdCommand:
     def test_pole_state_peaks_at_north_pole(self, runner, tmp_path):
         result = runner.invoke(main, ["qpd", "--j", "5", "--kind", "css",

@@ -1,13 +1,18 @@
 """The README's "File formats" section against the files the CLI writes and
-the tables they are written from, so the documented columns cannot drift."""
+the tables they are written from, so the documented columns cannot drift;
+and the private names the package's docstrings and comments cite against
+the package itself."""
 
+import importlib
 import json
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import tactsim
 from tactsim.cli import main
 from tactsim.fitting import FAMILY_NAMES
 from tactsim.reproduce import SERIES_COLUMNS
@@ -74,3 +79,15 @@ def test_documented_families():
     assert DOCUMENTED_FAMILIES == list(FAMILY_NAMES)
     fit_family = next(p for p in main.commands["fit"].params if p.name == "family")
     assert list(fit_family.type.choices) == list(FAMILY_NAMES)
+
+
+def test_cited_private_names_exist():
+    # double backticks mark names only in docstrings and comments, never in code
+    modules = [importlib.import_module(f"tactsim.{info.name}")
+               for info in pkgutil.iter_modules(tactsim.__path__)]
+    dangling = [f"{path.name}:{line_no}: {name}"
+                for path in sorted(Path(tactsim.__file__).parent.glob("*.py"))
+                for line_no, line in enumerate(path.read_text().splitlines(), 1)
+                for name in re.findall(r"``(_\w+)``", line)
+                if not any(hasattr(module, name) for module in modules)]
+    assert dangling == []

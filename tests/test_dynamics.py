@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -7,6 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 import oracles
 from oracles import dense_expm_evolve, krylov_evolve
@@ -17,7 +19,6 @@ from tactsim.dynamics import (
     _matvec,
     _quarter_turn,
     _quarter_turn_t,
-    _rotation_matrix,
     evolve,
     evolve_many,
     make_sss,
@@ -32,6 +33,11 @@ from tactsim.states import CoherentSpinParams, basis_state, make_css, make_twin_
 ORACLES = pytest.mark.parametrize("oracle", [dense_expm_evolve, krylov_evolve],
                                   ids=["dense", "krylov"])
 
+
+def _rotation_columns(j, axis, angle):
+    """exp(-i angle J_axis) as the rotated basis states |J,M>, one column per M."""
+    return np.column_stack([rotate(basis_state(j, j - k), axis, angle).amplitudes
+                            for k in range(round(2 * j) + 1)])
 
 class TestGenerator:
     def test_j1_entries(self):
@@ -160,13 +166,14 @@ class TestSpectralDefault:
         j_n = sum(c * build_operator(j, kind).to_dense()
                   for c, kind in zip(vec, ("Jx", "Jy", "Jz")))
         for angle in (0.4, math.pi / 2, 2.9):
-            mat = _rotation_matrix(j, axis, angle)
+            mat = _rotation_columns(j, axis, angle)
             oracle = scipy.linalg.expm(-1j * angle * j_n)
             assert np.max(np.abs(mat - oracle)) <= 1e-12
 
     def test_y_rotation_matrix_is_real(self):
-        assert not np.iscomplexobj(_rotation_matrix(20, "y", 0.7))
-        assert not np.iscomplexobj(_rotation_matrix(20, (0.0, -1.0, 0.0), 0.7))
+        # every real basis state turns into an exactly real state
+        assert not np.any(_rotation_columns(20, "y", 0.7).imag)
+        assert not np.any(_rotation_columns(20, (0.0, -1.0, 0.0), 0.7).imag)
 
     def test_large_y_rotation_matrix_is_real_orthogonal(self):
         eye = np.eye(801)
@@ -290,22 +297,38 @@ class TestRotate:
         assert dynamics._wigner_quarter(60) is blocks
         for block in blocks:
             assert block.flags.c_contiguous and not block.flags.writeable
-        dense = _rotation_matrix(30, "y", math.pi / 2)
+        dense = _quarter_turn(60, np.eye(61))
         assert np.array_equal(dense[:31, 0::2], blocks[0])
         assert np.array_equal(dense[:31, 1::2], blocks[1])
-
-    def test_quarter_turns_keep_no_dense_matrix(self):
-        dynamics._rotation_cache.cache_clear()
         s = make_css(40, CoherentSpinParams(alpha=0.3, beta=1.2))
-        make_sss(40, 0.01)
-        dense = _rotation_matrix(40, "y", math.pi / 2)
         for axis in ("y", (0.0, 1.0, 0.0)):
             turned = rotate(s, axis, math.pi / 2).amplitudes
-            assert np.max(np.abs(turned - dense @ s.amplitudes)) <= 1e-14
-        assert dynamics._rotation_cache.cache_info().currsize == 0
+            assert np.max(np.abs(turned - _quarter_turn(80, s.amplitudes))) <= 1e-14
+
+    def test_general_rotation_keeps_no_dense_matrix(self):
+        # a (2J+1)^2 complex matrix at J = 1000 would hold 64 MB
+        s = make_css(1000, CoherentSpinParams(alpha=0.3, beta=1.2))
+        dynamics._wigner_quarter(2000)
+        tracemalloc.start()
+        try:
+            rotate(s, (0.48, 0.6, 0.64), 2.9)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1e6
+
+    @pytest.mark.parametrize("j", [400, 2000])
+    @pytest.mark.parametrize("axis", ["x", "y", (0.48, 0.6, 0.64)])
+    def test_mean_spin_turns_like_a_vector(self, axis, j):
+        # <J> of |J,J> turned by exp(-i t n.J) is J R(n, t) z, with R from scipy
+        vec = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0)}.get(axis, axis)
+        for t in (0.7, 2.9):
+            expect = j * Rotation.from_rotvec(t * np.array(vec)).apply([0.0, 0.0, 1.0])
+            got = spin_moments(rotate(basis_state(j, j), axis, t)).mean
+            assert np.max(np.abs(np.asarray(got) - expect)) <= 1e-12 * j
 
     @pytest.mark.parametrize("axis", ["x", "y", (0.48, 0.6, 0.64)])
-    @pytest.mark.parametrize("j", [0.5, 1, 7.5, 50, 400])
+    @pytest.mark.parametrize("j", [0.5, 1, 7.5, 50, 400, 2000])
     def test_group_law_and_periodicity(self, j, axis):
         s = make_css(j, CoherentSpinParams(alpha=0.3, beta=1.2))
         twice = rotate(rotate(s, axis, 0.7), axis, 1.9).amplitudes
@@ -356,23 +379,24 @@ class TestWignerQuarter:
 
     @pytest.mark.parametrize("j", [1100, 2000])
     def test_against_closed_forms_and_jx(self, j):
-        delta = dynamics._quarter_turn_matrix(2 * j)
         m = np.arange(j, -j - 1, -1)
+        n = 2 * j + 1
         # column M' = J is |J,J> turned by pi/2 about y: the coherent state
         css = make_css(j, CoherentSpinParams(beta=math.pi / 2)).amplitudes
-        assert np.max(np.abs(delta[:, 0] - css)) <= 1e-12
+        assert np.max(np.abs(_quarter_turn(2 * j, np.eye(1, n, 0)[0]) - css)) <= 1e-12
         # make_twin_fock = exp(-i pi/2 Jx)|J,0> = i^Jz Delta |J,0>
         tfs = make_twin_fock(j).amplitudes
         quarter_turns = np.array([1, -1j, -1, 1j])[m % 4]  # (-i)^M, exactly
-        assert np.max(np.abs(delta[:, j] - quarter_turns * tfs)) <= 1e-12
-        n = 2 * j + 1
-        for v in (np.eye(n)[3], np.full(n, n ** -0.5), np.cos(np.arange(n)) / math.sqrt(n / 2)):
+        delta_j = _quarter_turn(2 * j, np.eye(1, n, j)[0])
+        assert np.max(np.abs(delta_j - quarter_turns * tfs)) <= 1e-12
+        for v in (np.eye(1, n, 3)[0], np.full(n, n ** -0.5),
+                  np.cos(np.arange(n)) / math.sqrt(n / 2)):
             assert np.max(np.abs(_quarter_turn_t(2 * j, _quarter_turn(2 * j, v)) - v)) <= 1e-12
         # Jx Delta = Delta diag(M); Jx has norm J, so the residual is taken
         # relative to J (the absolute one is 1.5e-12 at J=1100, 1.7e-12 at 2000)
         jx = build_operator(j, "Jx")
         for cols in np.array_split(np.arange(n), 8):
-            block = delta[:, cols]
+            block = _quarter_turn(2 * j, np.eye(n, len(cols), -cols[0]))  # Delta[:, cols]
             assert np.max(np.abs(jx.apply(block) - block * m[cols])) <= 1e-12 * j
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -385,7 +409,7 @@ class TestWignerQuarter:
         for p in sectors:
             v[p::2] = rng.normal(size=len(v[p::2])) + 1j * rng.normal(size=len(v[p::2]))
         v /= np.linalg.norm(v)
-        dense = dynamics._quarter_turn_matrix(two_j)
+        dense = _quarter_turn(two_j, np.eye(n))
         out = _quarter_turn(two_j, v)
         assert np.max(np.abs(out - dense @ v)) <= 1e-14
         assert np.max(np.abs(_quarter_turn_t(two_j, v) - dense.T @ v)) <= 1e-14
@@ -435,7 +459,7 @@ class TestMpmathOracle:
                 j_n = vec[0] * jx + vec[1] * jy + vec[2] * jz
                 for angle in (0.4, math.pi / 2, 2.9):
                     oracle = np.array(mpmath.expm(-1j * angle * j_n).tolist(), dtype=complex)
-                    assert np.max(np.abs(_rotation_matrix(j, axis, angle) - oracle)) <= 1e-13
+                    assert np.max(np.abs(_rotation_columns(j, axis, angle) - oracle)) <= 1e-13
 
     @pytest.mark.parametrize("j", [2.5, 6])
     def test_twisting(self, j):

@@ -208,7 +208,8 @@ def test_oracle_methods_find_the_same_optimum(metric, method):
                                              (make_twin_fock, 4), (make_twin_fock, 200)])
 def test_bra_row_is_the_target_turned_back(make_target, j):
     modes = scan._scan_basis(j, 0.0, default_tau_max(j), 8)[1]
-    bra = np.conj(make_target(j).amplitudes) @ dynamics._rotation_matrix(j, "y", math.pi / 2)
+    delta = dynamics._quarter_turn(round(2 * j), np.eye(round(2 * j) + 1))
+    bra = np.conj(make_target(j).amplitudes) @ delta
     assert np.max(np.abs(scan._bra_row(make_target, j, modes) - bra @ modes)) <= 1e-14
 
 
