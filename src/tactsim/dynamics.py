@@ -8,9 +8,9 @@ generators (any other raises ValueError).  Each M-parity block of H = iG is
 tridiagonal with one cached eigendecomposition H = P V diag(lam) V^T P* (unit
 phase gauge P, ``scipy.linalg.eigh_tridiagonal``), so exp(-i t H) v =
 P V (exp(-i lam t) * V^T P* v) for a whole vector of t in one product; an empty
-block stays exactly zero.  Scans read the same cache for |J,J> alone
-(``_twist_spectrum``): lam, B = P V and w = V^T P* e_0, whose norm is checked
-once for every t, as |exp(-i lam t)| = 1.
+block stays exactly zero.  Scans and ``make_sss`` read one cached window for
+|J,J> instead (``_twist_spectrum``): the modes it occupies (117 of 401 at J=400)
+and w = V^T P* e_0, V's first row there, so each state is P V (w * exp(-i lam t)).
 
 Rotations need no eigensolve and no rotation matrix.  exp(-i pi/2 Jy) is the
 real Wigner matrix Delta = d^J(pi/2), built once per J by a three-term
@@ -44,12 +44,14 @@ from .operators import (  # noqa: F401
     build_operator,
     ladder_coefficients,
     m_values,
+    spin_dimension,
     validate_spin,
 )
-from .states import SpinState, basis_state
+from .states import SpinState
 
 _EVOLVE_NORM_TOL = 1e-10
-_EIGEN_CACHE_SIZE = 32  # twisting parity blocks: one per (J, chi, gamma) from |J,J>
+_WINDOW_TAIL = 1e-14  # norm of the |J,J> coefficients a mode window may drop
+_EIGEN_CACHE_SIZE = 32  # twisting parity blocks, and |J,J> windows, one per (J, chi, gamma)
 _WIGNER_CACHE_SIZE = 32  # Delta blocks (_wigner_quarter): one per J
 _GENERATOR_CACHE_SIZE = 64
 
@@ -171,9 +173,13 @@ class _TridiagonalExp:
     def apply(self, t, v):
         """exp(-i t H) v for every entry of the array t, one column per t."""
         coeff = _matvec(self.vectors.T, np.conj(self.phase) * v)
+        return self.expand(t, coeff, self.is_real and not np.any(np.imag(v)))
+
+    def expand(self, t, coeff, real):
+        """P V (exp(-i lam t) * coeff), one column per entry of t; real when ``real``."""
         waves = np.exp(-1j * np.multiply.outer(self.values, t)) * coeff[:, None]
         out = self.phase[:, None] * _matvec(self.vectors, waves)
-        return out.real if self.is_real and not np.any(np.imag(v)) else out
+        return out.real if real else out
 
 
 @lru_cache(maxsize=_EIGEN_CACHE_SIZE)
@@ -181,12 +187,13 @@ def _cached_eigensystem(diag: bytes, upper: bytes) -> _TridiagonalExp:
     return _TridiagonalExp(np.frombuffer(diag), np.frombuffer(upper, dtype=complex))
 
 
-def _sector_eigensystem(generator: BandedOperator, sector: slice) -> _TridiagonalExp:
-    """The cached eigensystem of H = iG, tridiagonal, on one parity sector of G."""
+def _sector_bands(generator: BandedOperator, sector: slice):
+    """The key of ``_cached_eigensystem``: the diagonal and upper band of H = iG,
+    tridiagonal, on one parity sector of G, as bytes."""
     zeros = np.zeros(generator.dim)
     diag = (1j * generator.bands.get(0, zeros)[sector]).real
     upper = 1j * generator.bands.get(2, zeros[2:])[sector]
-    return _cached_eigensystem(diag.tobytes(), upper.tobytes())
+    return diag.tobytes(), upper.tobytes()
 
 
 def _checked_taus(state: SpinState, generator: BandedOperator, taus) -> np.ndarray:
@@ -221,7 +228,8 @@ def evolve_many(state: SpinState, generator: BandedOperator, taus) -> np.ndarray
     out = np.zeros((state.dim, len(taus)), dtype=complex)
     for sector in (slice(0, None, 2), slice(1, None, 2)):
         if np.any(v[sector]):
-            out[sector] = _sector_eigensystem(generator, sector).apply(taus, v[sector])
+            eig = _cached_eigensystem(*_sector_bands(generator, sector))
+            out[sector] = eig.apply(taus, v[sector])
     return _unit_columns(out, "propagated")
 
 
@@ -365,19 +373,27 @@ def _shared_generator(j, chi, gamma) -> BandedOperator:
     return tact_generator(j, chi=chi, gamma=gamma)
 
 
+@lru_cache(maxsize=_EIGEN_CACHE_SIZE)
 def _twist_spectrum(j, chi, gamma):
-    """(lam, B, w) on the parity sector of |J,J>, exp(G tau)|J,J> = B (w * exp(-i lam
-    tau)) there and 0 off it, for G = tact_generator(j, chi, gamma).  The norm is
-    checked once for every tau: |w| = 1 and B w = e_0 within 1e-10, else
-    PropagationError."""
-    eig = _sector_eigensystem(_shared_generator(float(j), chi, gamma), slice(0, None, 2))
-    basis = eig.phase[:, None] * eig.vectors
-    coeffs = np.conj(eig.phase[0]) * eig.vectors[0]
-    drift = basis @ coeffs - (np.arange(len(coeffs)) == 0)
-    worst = max(abs(np.linalg.norm(coeffs) - 1.0), np.max(np.abs(drift)))
+    """Read-only (eig, w), exp(G tau)|J,J> = eig.expand([tau], w, eig.is_real) on the
+    parity sector of |J,J> (0 off it), G = tact_generator(j, chi, gamma): the eigensystem
+    of H = iG there, solved uncached and kept on the modes |J,J> occupies; the least
+    |w_k| go while their norm stays within 1e-14.  Checked once for every tau, as
+    |exp(-i lam tau)| = 1: |w| = 1 and |P V w - e_0| within 1e-10, else PropagationError."""
+    sector = _sector_bands(_shared_generator(float(j), chi, gamma), slice(0, None, 2))
+    eig = _cached_eigensystem.__wrapped__(*sector)
+    coeffs = eig.vectors[0]  # V^T P* e_0, as P_0 = 1
+    order = np.argsort(np.abs(coeffs))
+    keep = np.sort(order[np.cumsum(coeffs[order] ** 2) > _WINDOW_TAIL**2])
+    eig.values, eig.vectors = eig.values[keep], np.asfortranarray(eig.vectors[:, keep])
+    coeffs = coeffs[keep]
+    for arr in (eig.values, eig.vectors, coeffs):
+        arr.flags.writeable = False
+    drift = eig.phase * (eig.vectors @ coeffs) - (np.arange(len(eig.phase)) == 0)
+    worst = max(abs(np.linalg.norm(coeffs) - 1.0), np.linalg.norm(drift))
     if not worst <= _EVOLVE_NORM_TOL:
         raise PropagationError(f"twisted |J,J> at J={j} is off by {worst:.3e} in its eigenbasis")
-    return eig.values, basis, coeffs
+    return eig, coeffs
 
 
 def make_sss(j, tau, protocol: TwistProtocol = DEFAULT_PROTOCOL) -> SpinState:
@@ -385,11 +401,13 @@ def make_sss(j, tau, protocol: TwistProtocol = DEFAULT_PROTOCOL) -> SpinState:
 
     This is the canonical post-rotation squeezed state the squeezing
     metrics are defined on; scans score them on the twisted state before
-    the rotation instead (see ``scan``).
+    the rotation instead (see ``scan``).  It is read off ``_twist_spectrum``.
     """
     if not (tau >= 0 and math.isfinite(tau)):
         raise ValueError("tau must be nonnegative and finite")
-    initial = basis_state(j, j)
-    gen = _shared_generator(float(j), protocol.chi, protocol.gamma)
-    evolved = evolve(initial, gen, tau)
+    eig, coeffs = _twist_spectrum(j, protocol.chi, protocol.gamma)
+    twisted = np.eye(spin_dimension(j), 1, dtype=complex)  # |J,J>, exact at tau = 0
+    if tau:
+        twisted[0::2] = eig.expand([tau], coeffs, eig.is_real)
+    evolved = SpinState(j, _unit_columns(twisted, "propagated")[:, 0])
     return rotate(evolved, protocol.rotation_axis, protocol.rotation_angle)

@@ -16,6 +16,7 @@ import numpy as np
 from .operators import build_operator, spin_dimension, validate_spin
 from .states import SpinState, css_magnitudes
 
+_VARIANCE_ROUND_OFF = 64 * np.finfo(float).eps  # per unit of max(1, <J_a^2>)
 
 def fidelity(a: SpinState, b: SpinState) -> float:
     """|<a|b>|^2; symmetric and invariant under global phases."""
@@ -44,19 +45,22 @@ def _spin_operators(two_j):
 
 
 def spin_moments(state: SpinState) -> SpinMoments:
-    """First moments of (Jx, Jy, Jz) and the variances of Jz and Jy."""
+    """First moments of (Jx, Jy, Jz) and the variances of Jz and Jy.  A variance
+    below zero by round-off (down to -64 eps max(1, <J_a^2>)) is 0; one lower, or
+    not finite, raises ValueError naming the axis and the value."""
     v = state.amplitudes
     means = []
-    second = {}
+    var = {}
     for axis, op in zip(("x", "y", "z"), _spin_operators(validate_spin(state.j))):
         ov = op.apply(v)
         means.append(float(np.vdot(v, ov).real))
         if axis in ("y", "z"):
-            second[axis] = float(np.vdot(ov, ov).real)
-    mean = np.array(means)
-    var_z = max(second["z"] - mean[2] ** 2, 0.0)
-    var_y = max(second["y"] - mean[1] ** 2, 0.0)
-    return SpinMoments(mean=mean, variance_z=var_z, variance_y=var_y)
+            second = float(np.vdot(ov, ov).real)
+            var[axis] = second - means[-1] ** 2
+            if not var[axis] >= -_VARIANCE_ROUND_OFF * max(1.0, second):
+                raise ValueError(f"variance of J{axis} is {var[axis]!r}, not >= 0 within round-off")
+    return SpinMoments(mean=np.array(means), variance_z=max(var["z"], 0.0),
+                       variance_y=max(var["y"], 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +147,9 @@ def qpd(state: SpinState, n_phi: int = 360, n_theta: int = 180) -> QpdGrid:
     amplitude is real (any SSS with gamma = 0, the EWSS, a CSS with alpha =
     0), the fold is real and is kept in the output array, a real FFT gives
     phi in [0, pi], and Q(-phi, theta) = Q(phi, theta) mirrors the rest;
-    |.|^2 and the clip are taken in place in that one array.
+    |.|^2 and the clip are taken in place in that one array.  If also a_-M = a_M
+    exactly (the default-protocol SSS, the EWSS), Q(phi, pi - theta) = Q(phi,
+    theta): ceil(n_theta/2) theta columns are computed and mirrored.
     """
     for name, size in (("n_phi", n_phi), ("n_theta", n_theta)):
         if not isinstance(size, numbers.Integral):
@@ -153,21 +159,24 @@ def qpd(state: SpinState, n_phi: int = 360, n_theta: int = 180) -> QpdGrid:
     n = spin_dimension(state.j)
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = 2 * math.pi * np.arange(n_phi) / n_phi
-    mags = _css_table(validate_spin(state.j), n_theta)  # (n, n_theta)
     amps = state.amplitudes
     real = not np.any(amps.imag)
     amps = (amps.real if real else amps)[:, None]
+    half = (n_theta + 1) // 2 if real and np.array_equal(amps, amps[::-1]) else n_theta
+    mags = _css_table(validate_spin(state.j), n_theta)[:, :half]  # (n, half)
     values = np.empty((n_phi, n_theta))
-    # a real fold lives in the output rows, which |spectrum| then overwrites
-    folded = values[: min(n, n_phi)] if real else np.empty((min(n, n_phi), n_theta), complex)
+    # a real fold of whole rows lives in the output rows, which |spectrum| overwrites
+    folded = (values[: min(n, n_phi)] if real and half == n_theta
+              else np.empty((min(n, n_phi), half), amps.dtype))
     np.multiply(mags[:n_phi], amps[:n_phi], out=folded)
     for start in range(n_phi, n, n_phi):  # fold M-index blocks of n_phi rows in place
         folded[: n - start] += mags[start:start + n_phi] * amps[start:start + n_phi]
     spectrum = (np.fft.rfft if real else np.fft.fft)(folded, n=n_phi, axis=0)
-    rows = values[: len(spectrum)]
+    rows = values[: len(spectrum), :half]
     np.abs(spectrum, out=rows)
     np.square(rows, out=rows)
     np.clip(rows, 0.0, 1.0, out=rows)
+    values[: len(rows), half:] = rows[:, : n_theta - half][:, ::-1]  # Q(phi, pi - theta)
     values[len(rows):] = values[n_phi - len(rows):0:-1]  # real: Q(-phi) = Q(phi)
     return QpdGrid(j=state.j, phis=phis, thetas=thetas, values=values)
 

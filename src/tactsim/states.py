@@ -7,6 +7,7 @@ space, so spins up to J ~ 1000 (binomials like C(2000,1000)) do not overflow.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -14,6 +15,7 @@ from scipy.special import gammaln
 from .operators import m_values, spin_dimension, validate_spin
 
 NORM_TOL = 1e-12
+_TARGET_CACHE_SIZE = 32  # EWSS and twin-Fock states, one per J
 
 TWO_PI = 2 * math.pi
 
@@ -146,16 +148,19 @@ def make_css(j, params: CoherentSpinParams = None) -> SpinState:
     return _normalized(j, mag * np.exp(1j * k * params.alpha))
 
 
+@lru_cache(maxsize=_TARGET_CACHE_SIZE, typed=True)
 def make_ewss(j) -> SpinState:
-    """Equally-weighted superposition: amplitude 1/sqrt(2J+1) at every M."""
+    """Equally-weighted superposition: amplitude 1/sqrt(2J+1) at every M; built once
+    per J and type of j, which the immutable state keeps as given."""
     n = spin_dimension(j)
     return SpinState(j=j, amplitudes=np.full(n, 1.0 / math.sqrt(n), dtype=complex))
 
 
+@lru_cache(maxsize=_TARGET_CACHE_SIZE, typed=True)
 def make_twin_fock(j) -> SpinState:
     """|J,0> rotated by pi/2 about x (integer J), from the closed form of the Wigner
     d^J_{M0}(pi/2) in log space: (-i)^J sqrt((J+M)!(J-M)!) / (2^J ((J+M)/2)!
-    ((J-M)/2)!) for even J-M, and exactly zero for odd J-M."""
+    ((J-M)/2)!) for even J-M, and exactly zero for odd J-M; built once per J and type."""
     two_j = validate_spin(j)
     if two_j % 2:
         raise ValueError("twin-Fock requires integer J")

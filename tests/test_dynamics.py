@@ -490,6 +490,39 @@ class TestMakeSSS:
         expect = rotate(basis_state(0.5, 0.5), "y", math.pi / 2)
         assert np.allclose(s.amplitudes, expect.amplitudes, atol=1e-14)
 
+    @pytest.mark.parametrize("j", [0.5, 5.5, 10, 100, 400, 1000])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_matches_propagating_basis_state(self, j, gamma):
+        # the windowed modes against the full propagator on |J,J>, then the same rotation
+        protocol = TwistProtocol(gamma=gamma)
+        gen = tact_generator(j, gamma=gamma)
+        for fraction in (0.0, 0.3, 0.8):
+            tau = fraction * default_tau_max(j)
+            got = make_sss(j, tau, protocol)
+            expect = rotate(evolve(basis_state(j, j), gen, tau), "y", math.pi / 2)
+            assert got.j == expect.j
+            assert np.max(np.abs(got.amplitudes - expect.amplitudes)) <= 1e-13
+
+    @pytest.mark.parametrize("j, kept", [(10, 11), (100, 77), (400, 117), (1000, 141)])
+    def test_window_keeps_the_modes_of_the_initial_state(self, j, kept):
+        eig, coeffs = dynamics._twist_spectrum(j, 1.0, 0.0)
+        assert len(eig.values) == eig.vectors.shape[1] == len(coeffs) == kept
+        assert eig.vectors.shape[0] == round(j) + 1
+        for arr in (eig.phase, eig.values, eig.vectors, coeffs):
+            assert not arr.flags.writeable
+        assert dynamics._twist_spectrum(float(j), 1.0, 0.0)[0] is eig
+
+    def test_no_eigensolve_or_propagator_call_when_warm(self, monkeypatch):
+        make_sss(60, 0.01)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm make_sss reached the general propagator")
+
+        for name in ("evolve", "evolve_many", "_cached_eigensystem"):
+            monkeypatch.setattr(dynamics, name, forbidden)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", forbidden)
+        assert make_sss(60, 0.02).j == 60
+
 
 class TestConfigValidation:
     def test_protocol_validation(self):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tactsim import observables
-from tactsim.dynamics import TwistProtocol, make_sss
+from tactsim import dynamics, observables
+from tactsim.dynamics import TwistProtocol, make_sss, rotate
 from tactsim.observables import (
     FieldEstimationParams,
     QpdGrid,
@@ -18,6 +18,7 @@ from tactsim.observables import (
     spin_moments,
 )
 from tactsim.operators import build_operator
+from tactsim.reference import default_tau_max
 from tactsim.states import (
     CoherentSpinParams,
     SpinState,
@@ -229,6 +230,46 @@ class TestQpd:
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
 
+    @pytest.mark.parametrize("j", [10, 400])
+    def test_mirrored_half_matches_the_full_theta_grid(self, j):
+        # a global phase makes the amplitudes complex, which takes the full route
+        for fraction in (0.3, 0.8):
+            state = make_sss(j, fraction * default_tau_max(j))
+            assert np.array_equal(state.amplitudes, state.amplitudes[::-1])
+            phased = SpinState(j, np.exp(0.7j) * state.amplitudes)
+            for n_theta in (180, 31):
+                half = qpd(state, n_phi=64, n_theta=n_theta).values
+                full = qpd(phased, n_phi=64, n_theta=n_theta).values
+                assert np.max(np.abs(half - full)) <= 1e-13
+
+    @staticmethod
+    def _fft_widths(monkeypatch):
+        """The number of theta columns each FFT that qpd takes transforms."""
+        widths = []
+        for name in ("fft", "rfft"):
+            def counted(a, *args, _transform=getattr(np.fft, name), **kwargs):
+                widths.append(a.shape[1])
+                return _transform(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        return widths
+
+    @pytest.mark.parametrize("n_theta", [18, 19])
+    def test_route_by_symmetry(self, monkeypatch, n_theta):
+        states = [make_sss(12, 0.05), make_ewss(12),  # real and a_-M = a_M: half
+                  make_css(12, CoherentSpinParams(alpha=0.0, beta=math.pi / 3)),
+                  make_sss(12, 0.05, TwistProtocol(gamma=0.3))]
+        widths = self._fft_widths(monkeypatch)
+        grids = [qpd(state, n_phi=16, n_theta=n_theta) for state in states]
+        half = (n_theta + 1) // 2
+        assert widths == [half, half, n_theta, n_theta]
+        css = grids[2].values  # not mirror-symmetric: the full route computed it all
+        assert np.max(np.abs(css - css[:, ::-1])) > 0.1
+        for state, grid in zip(states, grids):
+            direct = np.abs(np.exp(-1j * np.outer(grid.phis, np.arange(25)))
+                            @ (css_magnitudes(12, grid.thetas) * state.amplitudes[:, None])) ** 2
+            assert np.max(np.abs(grid.values - direct)) <= 1e-13
+
     def test_grid_invariants(self):
         with pytest.raises(ValueError, match="match"):
             QpdGrid(j=1, phis=np.zeros(3), thetas=np.zeros(4), values=np.zeros((4, 3)))
@@ -260,6 +301,52 @@ class TestSpinMoments:
     def test_variance_nonnegative(self):
         m = spin_moments(basis_state(3, 1))
         assert m.variance_z == 0.0
+
+    def test_round_off_below_zero_is_clamped(self):
+        # |J,M> scaled by 1 + eps: <Jz^2> - <Jz>^2 is about -2 eps M^2
+        amps = basis_state(3, 1).amplitudes * (1 + np.finfo(float).eps)
+        v = amps[2]
+        assert abs(v) ** 2 - abs(v) ** 4 < 0
+        assert spin_moments(SpinState(3, amps)).variance_z == 0.0
+
+    @pytest.mark.parametrize("axis", ["z", "y"])
+    def test_negative_variance_beyond_round_off_raises(self, axis):
+        # a Jz (Jy) eigenstate off unit norm by 2%: its variance is -0.02 M^2
+        state = basis_state(3, 1) if axis == "z" else rotate(basis_state(3, 1), "x", math.pi / 2)
+        corrupted = object.__new__(SpinState)
+        object.__setattr__(corrupted, "j", 3)
+        object.__setattr__(corrupted, "amplitudes", 1.01 * state.amplitudes)
+        with pytest.raises(ValueError, match=f"variance of J{axis} is -0.0"):
+            spin_moments(corrupted)
+
+    def test_non_finite_variance_raises(self):
+        state = SpinState(2, np.array([np.nan, 0, 0, 0, 0]))
+        with pytest.raises(ValueError, match="variance of Jy is nan"):
+            spin_moments(state)
+
+
+def test_repeated_requests_build_each_per_j_table_once():
+    # the calls of one single-state request (make_sss, moments, both target
+    # fidelities, QPD), twelve times at one J
+    caches = (dynamics._twist_spectrum, dynamics._wigner_quarter, observables._css_table,
+              make_ewss, make_twin_fock)
+    for cache in caches:
+        cache.cache_clear()
+    j = 40
+    for k in range(12):
+        state = make_sss(j, (k + 0.5) * default_tau_max(j) / 12)
+        spin_moments(state)
+        fidelity(make_ewss(j), state)
+        fidelity(make_twin_fock(j), state)
+        qpd(state, n_phi=36, n_theta=18)
+    assert [cache.cache_info().misses for cache in caches] == [1] * len(caches)
+    for target in (make_ewss(j), make_twin_fock(j)):
+        assert not target.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            target.amplitudes[0] = 0.0
+    assert type(make_ewss(10).j) is int and make_ewss(10).j == 10
+    assert type(make_ewss(10.0).j) is float and make_ewss(10.0).j == 10.0
+    assert type(make_twin_fock(10.0).j) is float
 
 
 class TestFisherBound:

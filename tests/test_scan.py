@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -214,37 +215,56 @@ def test_bra_row_is_the_target_turned_back(make_target, j):
 
 
 def test_scan_takes_one_eigensolve_and_no_per_tau_propagation(monkeypatch):
-    dynamics._cached_eigensystem.cache_clear()
+    dynamics._twist_spectrum.cache_clear()
+    scan._scan_basis.cache_clear()
     dynamics._wigner_quarter(100)  # the protocol rotation, warm
-    before = dynamics._cached_eigensystem.cache_info().misses
-    taus = []
-    evolve = dynamics.evolve
+    solves, taus = [], []
+    eigh, expand = scipy.linalg.eigh_tridiagonal, dynamics._TridiagonalExp.expand
 
-    def counted(state, generator, tau, *args):
-        taus.append(tau)
-        return evolve(state, generator, tau, *args)
+    def counted_eigh(*args, **kwargs):
+        solves.append(len(args[0]))
+        return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "evolve", counted)
+    def counted_expand(self, t, coeff, real):
+        taus.extend(t)  # every propagation, single-state or many-tau, expands modes
+        return expand(self, t, coeff, real)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted_eigh)
+    monkeypatch.setattr(dynamics._TridiagonalExp, "expand", counted_expand)
     res = scan_tau(ScanSpec.auto(50, "var_z_max"))
-    assert dynamics._cached_eigensystem.cache_info().misses - before <= 1
+    assert solves == [51]  # the even sector of |J,J>, once
     assert taus == [res.tau_star]  # the single-state cross-check only
 
 
 @pytest.mark.parametrize("metric", sorted(PER_STATE))
 def test_eigenbasis_off_unit_norm_raises_once_per_scan(monkeypatch, metric):
-    cached = dynamics._cached_eigensystem
+    exact = dynamics._TridiagonalExp.__init__
 
-    def scaled(diag, upper):
-        eig = cached(diag, upper)
-        off = object.__new__(dynamics._TridiagonalExp)
-        off.phase, off.values, off.is_real = eig.phase, eig.values, eig.is_real
-        off.vectors = eig.vectors * (1 + 1e-8)
-        return off
+    def scaled(self, diag, upper):
+        exact(self, diag, upper)
+        self.vectors = self.vectors * (1 + 1e-8)
 
-    monkeypatch.setattr(dynamics, "_cached_eigensystem", scaled)
+    monkeypatch.setattr(dynamics._TridiagonalExp, "__init__", scaled)
+    dynamics._twist_spectrum.cache_clear()
     scan._scan_basis.cache_clear()
     with pytest.raises(PropagationError, match="eigenbasis"):
         scan_tau(ScanSpec.auto(10, metric, n_grid=64))
+
+
+@pytest.mark.parametrize("j", [50, 100])
+def test_trimmed_window_fails_the_residual_check(monkeypatch, j):
+    # a window that drops modes worth up to 1e-6 of |J,J> keeps |w| = 1 within
+    # 1e-12 but misses e_0 by far more than 1e-10
+    monkeypatch.setattr(dynamics, "_WINDOW_TAIL", 1e-6)
+    dynamics._twist_spectrum.cache_clear()
+    scan._scan_basis.cache_clear()
+    with pytest.raises(PropagationError, match="eigenbasis"):
+        make_sss(j, 0.1)
+    with pytest.raises(PropagationError, match="eigenbasis"):
+        scan_tau(ScanSpec.auto(j, "fid_tfs", n_grid=64))
+    monkeypatch.undo()
+    dynamics._twist_spectrum.cache_clear()
+    make_sss(j, 0.1)
 
 
 def test_optimum_disagreeing_with_single_state_path_raises(monkeypatch):
