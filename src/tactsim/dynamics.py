@@ -13,16 +13,17 @@ block stays exactly zero.  Scans and ``make_sss`` read one cached window for
 and w = V^T P* e_0, V's first row there, so each state is P V (w * exp(-i lam t)).
 
 Rotations need no eigensolve and no rotation matrix.  exp(-i pi/2 Jy) is the
-real Wigner matrix Delta = d^J(pi/2), built once per J by a three-term
-recursion in O(J^2) and stored as two blocks of about (J+1) x (J+1): its top
-rows (M >= 0), split by column parity.  Rows -M are rows M times
-(-1)^(J-M'), so ``_quarter_turn`` and its transpose ``_quarter_turn_t`` get
-the bottom half from the same two products, and skip a parity sector of the
-vector that is all zero.  The twisted |J,J> fills one sector, so
-``make_sss`` multiplies it by the even block alone.  Every other axis and
+real Wigner matrix Delta = d^J(pi/2), built in O(J^2) by a three-term recursion
+and stored as its top rows (M >= 0), one block of at most (J+1) x (J+1) per
+column parity, each cached on first use (``_wigner_block``).  Rows -M are rows
+M times (-1)^(J-M'), so ``_quarter_turn`` and ``_quarter_turn_t`` get the
+bottom half from the same products, and build no block for a parity sector of
+the vector (or fold of it) that is all zero.  The twisted |J,J> fills one
+sector and the M-symmetric EWSS and twin-Fock have a zero odd fold, so
+``make_sss`` and every scan use the even block alone.  Every other axis and
 angle is applied to the vector as diagonal phases exp(-i a Jz) and products
 with Delta and Delta^T (``_y_turn``, ``rotate``), in O(J^2) time and O(J)
-memory beyond Delta.
+memory beyond Delta's two blocks.
 
 The tests cross-check the propagator against two oracles that take any
 generator on its whole dense matrix (``tests/oracles.py``).
@@ -52,7 +53,7 @@ from .states import SpinState
 _EVOLVE_NORM_TOL = 1e-10
 _WINDOW_TAIL = 1e-14  # norm of the |J,J> coefficients a mode window may drop
 _EIGEN_CACHE_SIZE = 32  # twisting parity blocks, and |J,J> windows, one per (J, chi, gamma)
-_WIGNER_CACHE_SIZE = 32  # Delta blocks (_wigner_quarter): one per J
+_WIGNER_CACHE_SIZE = 32  # Delta blocks (_wigner_block): one per J and column parity
 _GENERATOR_CACHE_SIZE = 64
 
 AXIS_LABELS = ("x", "y", "z")
@@ -243,38 +244,35 @@ def evolve(state: SpinState, generator: BandedOperator, tau) -> SpinState:
 
 
 @lru_cache(maxsize=_WIGNER_CACHE_SIZE)
-def _wigner_quarter(two_j):
-    """The top rows (M >= 0) of Delta = d^J(pi/2) = exp(-i pi/2 Jy) for spin
-    two_j/2 as (even, odd): its even and its odd columns, two read-only
-    C-contiguous blocks of about (J+1) x (J+1), built in O(J^2).
+def _wigner_block(two_j, parity):
+    """The top rows (M >= 0) of Delta = d^J(pi/2) = exp(-i pi/2 Jy) for spin two_j/2
+    on its columns k = J - M' of one parity, as a read-only C-contiguous square block.
 
-    Column k is the Jx eigenvector with eigenvalue M' = J - k (Edmonds 1957).
-    Its three-term recursion runs from the edge row inward, where the
-    amplitudes grow; the rows M < 0 are the mirror d_{-M,M'} = (-1)^(J-M')
-    d_{M,M'} and are never stored (``_quarter_turn``).  The exact edge row
-    sqrt(C(2J, k)) / 2^J underflows past J ~ 1000, so each column starts from
-    its sign, is rescaled past 1e150, and is normalized over both halves."""
+    Column k is the Jx eigenvector with eigenvalue M' = J - k (Edmonds 1957).  Its
+    three-term recursion runs from the edge row inward, where the amplitudes grow, and
+    is independent of the other columns; the rows M < 0 are the mirror d_{-M,M'} =
+    (-1)^(J-M') d_{M,M'} and are never stored (``_quarter_turn``), nor is the M = 0 row
+    of the odd block, as d_{0,M'} vanishes for odd J - M'.  The exact edge row
+    sqrt(C(2J, k)) / 2^J underflows past J ~ 1000, so each column starts from its sign,
+    is rescaled past 1e150, and is normalized over both halves."""
     n = two_j + 1
     top = (n + 1) // 2
     lad = np.concatenate(([0.0], ladder_coefficients(two_j / 2)))  # lad[i] couples i-1, i
-    k = np.concatenate((np.arange(0, n, 2), np.arange(1, n, 2)))  # even columns first
-    twice_m = two_j - 2.0 * k
-    sign = 1.0 - 2.0 * (k % 2)  # (-1)^(J-M')
-    rows = np.zeros((top, n))  # row -1 stays zero until the loop ends
-    rows[0] = sign
+    twice_m = two_j - 2.0 * np.arange(parity, n, 2)
+    rows = np.zeros((top, len(twice_m)))  # row -1 stays zero until the loop ends
+    rows[0] = 1 - 2 * parity  # (-1)^(J-M')
     for i in range(top - 1):
         rows[i + 1] = (twice_m * rows[i] - lad[i] * rows[i - 1]) / lad[i + 1]
         big = np.abs(rows[i + 1]) > 1e150
         if big.any():
             rows[: i + 2, big] *= 1e-150
-    if n % 2:
-        rows[top - 1] *= sign > 0  # d_{0,M'} vanishes for odd J - M'
+    if n % 2 and parity:
+        rows[top - 1] = 0.0
     # the mirror counts every row twice but the M = 0 row
     rows /= np.sqrt(2 * np.einsum("ij,ij->j", rows, rows) - (n % 2) * rows[top - 1] ** 2)
-    blocks = np.ascontiguousarray(rows[:, :top]), np.ascontiguousarray(rows[:, top:])
-    for block in blocks:
-        block.flags.writeable = False
-    return blocks
+    block = np.ascontiguousarray(rows[: n // 2 if parity else top])
+    block.flags.writeable = False
+    return block
 
 
 def _quarter_turn(two_j, v):
@@ -282,30 +280,27 @@ def _quarter_turn(two_j, v):
 
     Row -M is row M times (-1)^(J-M'), so the top rows take even + odd and the
     bottom rows even - odd, mirrored; a parity sector of v that is all zero
-    costs nothing."""
-    even, odd = _wigner_quarter(two_j)
-    top = len(even)
-    prods = [(_matvec(block, v[p::2]), mirror)
-             for p, block, mirror in ((0, even, np.add), (1, odd, np.subtract))
-             if np.any(v[p::2])]
+    costs nothing, and its block is not built."""
+    prods = [(_matvec(_wigner_block(two_j, p), v[p::2]), mirror)
+             for p, mirror in ((0, np.add), (1, np.subtract)) if np.any(v[p::2])]
     out = np.zeros(v.shape, np.result_type(float, *(prod for prod, _ in prods)))
-    bottom = out[: top - 1: -1]
+    bottom = out[: two_j // 2: -1]
     for prod, mirror in prods:
-        out[:top] += prod
+        out[: len(prod)] += prod
         mirror(bottom, prod[: len(bottom)], out=bottom)
     return out
 
 
 def _quarter_turn_t(two_j, v):
     """Delta^T v for a vector or a block of columns v, from Delta's blocks: v's
-    halves fold into v_M + v_-M for the even columns and v_M - v_-M for the
-    odd ones, and a fold that is all zero costs nothing."""
-    even, odd = _wigner_quarter(two_j)
-    top = len(even)
+    halves fold into v_M + v_-M for the even columns and v_M - v_-M, M > 0, for
+    the odd ones; a fold that is all zero (the odd one of an M-symmetric v)
+    costs nothing, and its block is not built."""
+    top = two_j // 2 + 1
     head, tail = v[:top], np.zeros_like(v[:top])
     tail[: len(v) - top] = v[: top - 1: -1]
-    prods = [(p, _matvec(block.T, fold))
-             for p, block, fold in ((0, even, head + tail), (1, odd, head - tail))
+    prods = [(p, _matvec(_wigner_block(two_j, p).T, fold))
+             for p, fold in enumerate((head + tail, (head - tail)[: len(v) - top]))
              if np.any(fold)]
     out = np.zeros(v.shape, np.result_type(float, *(prod for _, prod in prods)))
     for p, prod in prods:

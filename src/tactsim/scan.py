@@ -192,7 +192,7 @@ def _golden_section(f, a, b, tol, sign):
     return (a + d) / 2 if yc > yd else (c + b) / 2
 
 
-@lru_cache(maxsize=1)  # sweeps run a J's metrics back to back; modes is 128 MB at J=2000
+@lru_cache(maxsize=1)  # sweeps run a J's metrics back to back; modes is 10 MB at J=2000
 def _scan_basis(j, tau_min, tau_max, n_grid):
     """Read-only (lam, modes, taus, phases) shared by the metrics of one spin, window
     and grid: psi(tau) = modes @ exp(-i lam tau), phases[:, k] = exp(-i lam taus[k])."""

@@ -1,8 +1,8 @@
 """Pure collective-spin states and the special-state factories.
 
 States live in the |J,M> basis ordered by descending M (index 0 <-> M=J).
-Coherent-state and twin-Fock amplitudes are closed forms evaluated in log
-space, so spins up to J ~ 1000 (binomials like C(2000,1000)) do not overflow.
+Coherent-state and twin-Fock amplitudes are closed forms in log space, from the
+logs of exact integer binomials (``_log_binomials``): no overflow, nor error growth.
 """
 
 import math
@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .operators import m_values, spin_dimension, validate_spin
 
@@ -59,7 +58,7 @@ class SpinState:
                 f"amplitude vector has shape {amps.shape}, expected ({n},)"
             )
         nrm2 = float(np.sum(amps.real**2 + amps.imag**2))
-        if abs(nrm2 - 1.0) > NORM_TOL:
+        if not abs(nrm2 - 1.0) <= NORM_TOL:  # NaN and inf fail too
             raise ValueError(f"state norm^2 deviates from 1 by {nrm2 - 1.0:.3e}")
         amps = amps.copy()
         amps.flags.writeable = False
@@ -108,6 +107,15 @@ def basis_state(j, m) -> SpinState:
     return SpinState(j=j, amplitudes=amps)
 
 
+def _log_binomials(n) -> np.ndarray:
+    """log C(n, k), k = 0..n, of the exact integers C(n, k+1) = C(n, k) (n-k) / (k+1)."""
+    logs, binom = np.empty(n + 1), 1
+    for k in range(n // 2 + 1):
+        logs[k] = logs[n - k] = math.log(binom)
+        binom = binom * (n - k) // (k + 1)
+    return logs
+
+
 def css_magnitudes(j, beta) -> np.ndarray:
     """|coefficient| of the coherent state over M, evaluated in log space.
 
@@ -116,9 +124,7 @@ def css_magnitudes(j, beta) -> np.ndarray:
     """
     two_j = validate_spin(j)
     k = np.arange(two_j + 1.0)  # k = J - M, the basis index
-    log_binom = 0.5 * (
-        gammaln(two_j + 1) - gammaln(k + 1) - gammaln(two_j - k + 1)
-    )
+    log_binom = 0.5 * _log_binomials(two_j)
     beta = np.asarray(beta, dtype=float)
     scalar = beta.ndim == 0
     half = np.atleast_1d(beta) / 2
@@ -142,8 +148,7 @@ def make_css(j, params: CoherentSpinParams = None) -> SpinState:
     """
     if params is None:
         params = CoherentSpinParams()
-    validate_spin(j)
-    mag = css_magnitudes(j, params.beta)
+    mag = css_magnitudes(j, params.beta)  # validates j
     k = np.arange(spin_dimension(j))
     return _normalized(j, mag * np.exp(1j * k * params.alpha))
 
@@ -159,14 +164,14 @@ def make_ewss(j) -> SpinState:
 @lru_cache(maxsize=_TARGET_CACHE_SIZE, typed=True)
 def make_twin_fock(j) -> SpinState:
     """|J,0> rotated by pi/2 about x (integer J), from the closed form of the Wigner
-    d^J_{M0}(pi/2) in log space: (-i)^J sqrt((J+M)!(J-M)!) / (2^J ((J+M)/2)!
-    ((J-M)/2)!) for even J-M, and exactly zero for odd J-M; built once per J and type."""
+    d^J_{M0}(pi/2) in log space: with J - M = 2m, (-i)^J C(J, m) sqrt(C(2J, J) /
+    C(2J, 2m)) / 2^J for even J-M, and exactly zero for odd J-M; built once per J and type."""
     two_j = validate_spin(j)
     if two_j % 2:
         raise ValueError("twin-Fock requires integer J")
-    k = np.arange(0, two_j + 1, 2.0)  # k = J - M over the even sector
-    log_amp = (0.5 * (gammaln(two_j - k + 1) + gammaln(k + 1)) - two_j / 2 * math.log(2)
-               - gammaln((two_j - k) / 2 + 1) - gammaln(k / 2 + 1))
+    log_2j = _log_binomials(two_j)
+    log_amp = (_log_binomials(two_j // 2) + 0.5 * (log_2j[two_j // 2] - log_2j[::2])
+               - two_j / 2 * math.log(2))
     amps = np.zeros(two_j + 1, dtype=complex)
     amps[::2] = (1, -1j, -1, 1j)[two_j // 2 % 4] * np.exp(log_amp)  # (-i)^J, exactly
     return _normalized(j, amps)

@@ -293,13 +293,12 @@ class TestRotate:
         assert np.max(np.abs(rotate(s, tuple(axis), 2.9).amplitudes - expect)) <= 1e-12
 
     def test_quarter_turn_about_y_is_the_cached_wigner_matrix(self):
-        blocks = dynamics._wigner_quarter(60)
-        assert dynamics._wigner_quarter(60) is blocks
-        for block in blocks:
-            assert block.flags.c_contiguous and not block.flags.writeable
         dense = _quarter_turn(60, np.eye(61))
-        assert np.array_equal(dense[:31, 0::2], blocks[0])
-        assert np.array_equal(dense[:31, 1::2], blocks[1])
+        for parity, rows in ((0, 31), (1, 30)):  # the odd block has no M = 0 row
+            block = dynamics._wigner_block(60, parity)
+            assert dynamics._wigner_block(60, parity) is block
+            assert block.flags.c_contiguous and not block.flags.writeable
+            assert np.array_equal(dense[:rows, parity::2], block)
         s = make_css(40, CoherentSpinParams(alpha=0.3, beta=1.2))
         for axis in ("y", (0.0, 1.0, 0.0)):
             turned = rotate(s, axis, math.pi / 2).amplitudes
@@ -308,7 +307,7 @@ class TestRotate:
     def test_general_rotation_keeps_no_dense_matrix(self):
         # a (2J+1)^2 complex matrix at J = 1000 would hold 64 MB
         s = make_css(1000, CoherentSpinParams(alpha=0.3, beta=1.2))
-        dynamics._wigner_quarter(2000)
+        dynamics._wigner_block(2000, 0), dynamics._wigner_block(2000, 1)
         tracemalloc.start()
         try:
             rotate(s, (0.48, 0.6, 0.64), 2.9)
@@ -377,6 +376,30 @@ class TestWignerQuarter:
         if two_j % 2 == 0:
             assert np.all(odd[two_j // 2] == 0.0)  # d_{0,M'} for odd J - M'
 
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("two_j", [1, 2, 7, 14, 399, 400])
+    def test_each_block_alone(self, two_j, parity):
+        # Delta's columns k = J - M' of one parity, built and applied without the
+        # other block: square top rows (M >= 0), of which the odd block leaves out
+        # the M = 0 row, zero for integer J; the edge row is the closed form
+        # d_{J,M'} = (-1)^(J-M') sqrt(C(2J, J-M')) / 2^J and each column is the Jx
+        # eigenvector of eigenvalue M'
+        dynamics._wigner_block.cache_clear()
+        n, j = two_j + 1, two_j / 2
+        cols = _quarter_turn(two_j, np.eye(n)[:, parity::2])
+        block = dynamics._wigner_block(two_j, parity)
+        assert dynamics._wigner_block.cache_info().currsize == 1
+        rows = n // 2 if parity else (n + 1) // 2
+        assert block.shape == (rows, rows)
+        assert np.array_equal(cols[:rows], block)
+        if parity and n % 2:
+            assert np.all(cols[rows] == 0.0)
+        k = np.arange(parity, n, 2)
+        edge = [(-1) ** kk * math.sqrt(math.comb(two_j, kk)) / 2**j for kk in k]
+        assert np.max(np.abs(block[0] - edge)) <= 1e-14
+        jx = build_operator(j, "Jx")
+        assert np.max(np.abs(jx.apply(cols) - cols * (j - k))) <= 1e-12 * max(1.0, j)
+
     @pytest.mark.parametrize("j", [1100, 2000])
     def test_against_closed_forms_and_jx(self, j):
         m = np.arange(j, -j - 1, -1)
@@ -415,7 +438,8 @@ class TestWignerQuarter:
         assert np.max(np.abs(_quarter_turn_t(two_j, v) - dense.T @ v)) <= 1e-14
         if sectors != (0, 1):  # rows -M are rows M times (-1)^(J-M')
             assert np.array_equal(out[::-1], out if sectors == (0,) else -out)
-        resident = sum(block.nbytes for block in dynamics._wigner_quarter(two_j))
+        resident = sum(dynamics._wigner_block(two_j, p).nbytes for p in (0, 1))
+        assert resident == (((n + 1) // 2) ** 2 + (n // 2) ** 2) * 8
         assert resident <= (j + 1) * (2 * j + 2) * 8
 
 

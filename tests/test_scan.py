@@ -214,10 +214,25 @@ def test_bra_row_is_the_target_turned_back(make_target, j):
     assert np.max(np.abs(scan._bra_row(make_target, j, modes) - bra @ modes)) <= 1e-14
 
 
+@pytest.mark.parametrize("j", [20, 20.5])
+def test_scans_and_requests_build_no_odd_block(j):
+    # the twisted |J,J> fills the even columns of Delta, and the targets are
+    # M-symmetric, so their odd fold is zero: Delta's odd block is never built
+    dynamics._wigner_block.cache_clear()
+    metrics = [m for m in scan.METRICS if m != "fid_tfs" or j == round(j)]
+    rows = scaling_sweep([j], metrics, n_grid=32)
+    assert [row.status for row in rows] == ["ok"] * len(metrics)
+    make_sss(j, 0.3 * default_tau_max(j))
+    info = dynamics._wigner_block.cache_info()
+    assert info.currsize == 1
+    dynamics._wigner_block(round(2 * j), 0)
+    assert dynamics._wigner_block.cache_info().misses == info.misses
+
+
 def test_scan_takes_one_eigensolve_and_no_per_tau_propagation(monkeypatch):
     dynamics._twist_spectrum.cache_clear()
     scan._scan_basis.cache_clear()
-    dynamics._wigner_quarter(100)  # the protocol rotation, warm
+    dynamics._wigner_block(100, 0)  # the protocol rotation, warm
     solves, taus = [], []
     eigh, expand = scipy.linalg.eigh_tridiagonal, dynamics._TridiagonalExp.expand
 

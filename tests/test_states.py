@@ -1,9 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +13,7 @@ from tactsim.operators import build_operator
 from tactsim.states import (
     CoherentSpinParams,
     SpinState,
+    _log_binomials,
     basis_state,
     css_magnitudes,
     make_cat,
@@ -27,8 +28,7 @@ def _css_magnitudes_reference(j, beta):
     same order (log binomial + (2J-k) log|c|) + k log|s|, with zero powers as 0."""
     two_j = round(2 * j)
     k = np.arange(two_j + 1.0)
-    log_binom = 0.5 * (scipy.special.gammaln(two_j + 1) - scipy.special.gammaln(k + 1)
-                       - scipy.special.gammaln(two_j - k + 1))
+    log_binom = 0.5 * _log_binomials(two_j)
     half = np.atleast_1d(np.asarray(beta, dtype=float)) / 2
     c, s = np.cos(half), np.sin(half)
     kc, ks = (two_j - k)[:, None], k[:, None]
@@ -38,6 +38,49 @@ def _css_magnitudes_reference(j, beta):
     mag = np.exp(log_binom[:, None] + log_c + log_s)
     mag = np.where((c == 0) & (kc > 0), 0.0, mag)
     return np.where((s == 0) & (ks > 0), 0.0, mag)
+
+
+def _assert_close_to(got, ref, rel):
+    """got within rel of the float ref as a whole (relative to max |ref|), and
+    within 2 rel entry by entry where ref is a normal float; an entry that
+    underflows in ref must be below 1e-290 in got."""
+    err = np.abs(got - ref)
+    assert np.max(err) <= rel * np.max(ref)
+    normal = ref > 1e-290
+    assert np.all(err[normal] <= 2 * rel * ref[normal])
+    assert np.all(got[~normal] <= 1e-290)
+
+
+class TestExactTables:
+    """log C(n, k), the twin-Fock amplitudes and css_magnitudes against a
+    40-digit mpmath evaluation of the exact integers and angles."""
+
+    @pytest.mark.parametrize("j", [50, 400, 1000, 2000])
+    def test_log_binomials_and_twin_fock(self, j):
+        two_j = 2 * j
+        with mpmath.workdps(40):
+            ref = [mpmath.log(math.comb(two_j, k)) for k in range(two_j + 1)]
+            got = _log_binomials(two_j)
+            assert all(abs(g - r) <= 5e-13 * abs(r) for g, r in zip(got, ref))
+            centre = mpmath.sqrt(math.comb(two_j, j)) / mpmath.mpf(2) ** j
+            tfs = np.array([float(math.comb(j, m) * centre / mpmath.sqrt(math.comb(two_j, 2 * m)))
+                            for m in range(j + 1)])
+        amps = make_twin_fock(j).amplitudes
+        phase = (1, -1j, -1, 1j)[j % 4]
+        _assert_close_to((amps[::2] / phase).real, tfs, 5e-13)
+        assert np.all(amps[1::2] == 0) and not np.any((amps[::2] / phase).imag)
+
+    @pytest.mark.parametrize("j", [50, 400, 1000, 2000])
+    def test_css_magnitudes(self, j):
+        two_j = 2 * j
+        betas = (0.3, 1.0, math.pi / 2, 2.5, 3.0)
+        got = css_magnitudes(j, np.array(betas))
+        with mpmath.workdps(40):
+            roots = [mpmath.sqrt(math.comb(two_j, k)) for k in range(two_j + 1)]
+            for col, beta in enumerate(betas):
+                c, s = mpmath.cos(mpmath.mpf(beta) / 2), mpmath.sin(mpmath.mpf(beta) / 2)
+                ref = np.array([float(r * c ** (two_j - k) * s**k) for k, r in enumerate(roots)])
+                _assert_close_to(got[:, col], ref, 5e-13)
 
 
 class TestCoherentState:
@@ -162,6 +205,13 @@ class TestSpinStateInvariants:
     def test_normalization_checked(self):
         with pytest.raises(ValueError, match="norm"):
             SpinState(j=0.5, amplitudes=np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    def test_non_finite_amplitude_rejected(self, bad):
+        with pytest.raises(ValueError, match="norm"):
+            SpinState(j=1, amplitudes=np.array([bad, 0, 0]))
+        with pytest.raises(ValueError, match="norm"):
+            SpinState(j=0.5, amplitudes=np.array([1.0, bad]))
 
     def test_real_flag_follows_amplitudes(self):
         assert SpinState(j=0.5, amplitudes=np.array([1.0, -0.0j])).real_flag
