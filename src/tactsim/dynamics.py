@@ -4,13 +4,13 @@ Units: hbar = 1, so the evolution operator for the twisting generator G is
 exp(G*tau) with G skew-hermitian and tau dimensionless when chi = 1.
 
 ``evolve_many`` is the one propagator, for parity-preserving skew-hermitian
-generators (any other raises ValueError).  Each M-parity block of H = iG is
-tridiagonal with one cached eigendecomposition H = P V diag(lam) V^T P* (unit
-phase gauge P, ``scipy.linalg.eigh_tridiagonal``), so exp(-i t H) v =
-P V (exp(-i lam t) * V^T P* v) for a whole vector of t in one product; an empty
-block stays exactly zero.  Scans and ``make_sss`` read one cached window for
-|J,J> instead (``_twist_spectrum``): the modes it occupies (117 of 401 at J=400)
-and w = V^T P* e_0, V's first row there, so each state is P V (w * exp(-i lam t)).
+generators with no diagonal band (any other raises ValueError).  Each M-parity
+block of H = iG has one cached eigendecomposition H = P V diag(lam) V^T P* (unit
+phase gauge P, ``_bipartite_eigh``), so exp(-i t H) v = P V (exp(-i lam t) *
+V^T P* v) for a whole vector of t in one product; an empty block stays exactly
+zero.  Scans and ``make_sss`` read one cached window for |J,J> instead
+(``_twist_spectrum``): the modes it occupies (117 of 401 at J=400) and
+w = V^T P* e_0, V's first row there, so each state is P V (w * exp(-i lam t)).
 
 Rotations need no eigensolve and no rotation matrix.  exp(-i pi/2 Jy) is the
 real Wigner matrix Delta = d^J(pi/2), built in O(J^2) by a three-term recursion
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 # build_operator is unused here, but the bench tracer (perfbench/tracer.py)
 # wraps it as dynamics.build_operator, and a missing attribute breaks every
@@ -147,34 +146,43 @@ def _unit_columns(out, what):
     return np.asarray(out, dtype=complex) / nrm
 
 
-class _TridiagonalExp:
-    """exp(-i t H) for a Hermitian tridiagonal H (a parity block of the
-    twisting generator), from one eigendecomposition.
+def _bipartite_eigh(mag):
+    """Ascending eigenvalues and orthonormal eigenvectors of the symmetric tridiagonal T with
+    zero diagonal and off-diagonal mag, from numpy's SVD U diag(s) W^T of its even-odd block
+    B = T[0::2, 1::2] (Golub & Kahan, SIAM J. Numer. Anal. B 2, 205 (1965)): [u; +-w]/sqrt(2)
+    on the even and odd rows is an eigenvector at +-s, and for odd n [U's last column; 0] at 0."""
+    n, q = len(mag) + 1, (len(mag) + 1) // 2
+    block = np.zeros((n - q, q))  # lower bidiagonal
+    block.flat[:: q + 1], block.flat[q:: q + 1] = mag[0::2], mag[1::2]
+    u, s, wt = np.linalg.svd(block)
+    vectors = np.zeros((n, n))
+    even, odd = vectors[0::2], vectors[1::2]  # views; columns at -s, 0 (odd n), +s
+    np.multiply(u[:, :q], math.sqrt(0.5), out=even[:, :q])
+    np.multiply(wt.T, -math.sqrt(0.5), out=odd[:, :q])
+    even[:, q: n - q] = u[:, q:]
+    even[:, n - q:], odd[:, n - q:] = even[:, :q][:, ::-1], -odd[:, :q][:, ::-1]
+    return np.concatenate((-s, np.zeros(n - 2 * q), s[::-1])), vectors
 
-    H = P T P* with unit phases P chosen so that T is real symmetric
-    tridiagonal with off-diagonal |e_k|; T = V diag(values) V^T comes from
-    ``eigh_tridiagonal``.  When H is purely imaginary, exp(-i t H) is real,
-    and its action on a real vector is returned real.
-    """
+
+class _TridiagonalExp:
+    """exp(-i t H) for a Hermitian tridiagonal H with zero diagonal (a parity block of
+    the twisting generator) and upper band e: H = P T P* with unit phases P such that T
+    has off-diagonal |e|, and T = V diag(values) V^T (``_bipartite_eigh``).  When H is
+    purely imaginary, its action on a real vector is returned real."""
 
     __slots__ = ("phase", "values", "vectors", "is_real")
 
-    def __init__(self, diag, upper):
+    def __init__(self, upper):
         mag = np.abs(upper)
         unit = np.ones(len(upper), dtype=complex)
         nonzero = mag > 0
         unit[nonzero] = np.conj(upper[nonzero]) / mag[nonzero]
         phase = np.cumprod(np.concatenate(([1.0 + 0j], unit)))
         self.phase = phase / np.abs(phase)  # keep |p_k| = 1 to round-off
-        self.values, self.vectors = scipy.linalg.eigh_tridiagonal(diag, mag)
-        self.is_real = not (np.any(diag) or np.any(upper.real))
+        self.values, self.vectors = _bipartite_eigh(mag)
+        self.is_real = not np.any(upper.real)
         for arr in (self.phase, self.values, self.vectors):
             arr.flags.writeable = False
-
-    def apply(self, t, v):
-        """exp(-i t H) v for every entry of the array t, one column per t."""
-        coeff = _matvec(self.vectors.T, np.conj(self.phase) * v)
-        return self.expand(t, coeff, self.is_real and not np.any(np.imag(v)))
 
     def expand(self, t, coeff, real):
         """P V (exp(-i lam t) * coeff), one column per entry of t; real when ``real``."""
@@ -184,17 +192,8 @@ class _TridiagonalExp:
 
 
 @lru_cache(maxsize=_EIGEN_CACHE_SIZE)
-def _cached_eigensystem(diag: bytes, upper: bytes) -> _TridiagonalExp:
-    return _TridiagonalExp(np.frombuffer(diag), np.frombuffer(upper, dtype=complex))
-
-
-def _sector_bands(generator: BandedOperator, sector: slice):
-    """The key of ``_cached_eigensystem``: the diagonal and upper band of H = iG,
-    tridiagonal, on one parity sector of G, as bytes."""
-    zeros = np.zeros(generator.dim)
-    diag = (1j * generator.bands.get(0, zeros)[sector]).real
-    upper = 1j * generator.bands.get(2, zeros[2:])[sector]
-    return diag.tobytes(), upper.tobytes()
+def _cached_eigensystem(upper: bytes) -> _TridiagonalExp:
+    return _TridiagonalExp(np.frombuffer(upper, dtype=complex))
 
 
 def _checked_taus(state: SpinState, generator: BandedOperator, taus) -> np.ndarray:
@@ -214,23 +213,26 @@ def evolve_many(state: SpinState, generator: BandedOperator, taus) -> np.ndarray
     """exp(G*tau) applied to the state for every tau, as (dim, len(taus)) columns.
 
     The generator must act on the same spin J, be skew-hermitian and couple
-    only M <-> M+-2; every tau must be finite.  Each non-empty M-parity
-    sector costs one product with the cached eigensystem of H = iG there,
-    and an empty sector stays exactly zero.  Every column's norm is
-    verified to 1 within 1e-10 and divided out; a column that fails raises
+    only M <-> M+-2, with no diagonal band; every tau must be finite.  Each
+    non-empty M-parity sector costs one product with the cached eigensystem of
+    H = iG there, and an empty sector stays exactly zero.  Every column's norm
+    is verified to 1 within 1e-10 and divided out; a column that fails raises
     PropagationError rather than returning a silently inaccurate state.
     """
     taus = _checked_taus(state, generator, taus)
-    if not (generator.even_offsets_only and generator.hermiticity_tag == SKEW_HERMITIAN):
+    if not (generator.even_offsets_only and generator.hermiticity_tag == SKEW_HERMITIAN
+            and not np.any(generator.bands.get(0, 0))):
         raise ValueError("evolve_many takes only parity-preserving skew-hermitian "
-                         "generators; the test oracles dense_expm_evolve and "
-                         "krylov_evolve (tests/oracles.py) take any")
+                         "generators with no diagonal band; the test oracles "
+                         "dense_expm_evolve and krylov_evolve (tests/oracles.py) take any")
     v = state.amplitudes
     out = np.zeros((state.dim, len(taus)), dtype=complex)
     for sector in (slice(0, None, 2), slice(1, None, 2)):
         if np.any(v[sector]):
-            eig = _cached_eigensystem(*_sector_bands(generator, sector))
-            out[sector] = eig.apply(taus, v[sector])
+            upper = 1j * generator.bands.get(2, np.zeros(state.dim - 2))[sector]
+            eig = _cached_eigensystem(upper.tobytes())
+            coeff = _matvec(eig.vectors.T, np.conj(eig.phase) * v[sector])
+            out[sector] = eig.expand(taus, coeff, eig.is_real and not np.any(v[sector].imag))
     return _unit_columns(out, "propagated")
 
 
@@ -375,8 +377,7 @@ def _twist_spectrum(j, chi, gamma):
     of H = iG there, solved uncached and kept on the modes |J,J> occupies; the least
     |w_k| go while their norm stays within 1e-14.  Checked once for every tau, as
     |exp(-i lam tau)| = 1: |w| = 1 and |P V w - e_0| within 1e-10, else PropagationError."""
-    sector = _sector_bands(_shared_generator(float(j), chi, gamma), slice(0, None, 2))
-    eig = _cached_eigensystem.__wrapped__(*sector)
+    eig = _TridiagonalExp(1j * _shared_generator(float(j), chi, gamma).bands[2][0::2])
     coeffs = eig.vectors[0]  # V^T P* e_0, as P_0 = 1
     order = np.argsort(np.abs(coeffs))
     keep = np.sort(order[np.cumsum(coeffs[order] ** 2) > _WINDOW_TAIL**2])

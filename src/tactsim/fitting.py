@@ -216,7 +216,7 @@ def _prepare_data(data):
     jj, yy = arr[:, 0], arr[:, 1]
     if np.any(jj <= 0):
         raise FitError("fit needs positive J values")
-    if len(np.unique(jj)) != len(jj):
+    if not np.all(np.diff(np.sort(jj))):
         raise FitError("fit needs distinct J values")
     return jj, yy
 

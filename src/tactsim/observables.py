@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import numpy.fft  # noqa: F401  (numpy would load it inside the first qpd)
 
 from .operators import build_operator, spin_dimension, validate_spin
 from .states import SpinState, css_magnitudes

@@ -26,7 +26,13 @@ from tactsim.dynamics import (
     tact_generator,
 )
 from tactsim.observables import spin_moments
-from tactsim.operators import SKEW_HERMITIAN, BandedOperator, build_operator, ladder_coefficients
+from tactsim.operators import (
+    SKEW_HERMITIAN,
+    BandedOperator,
+    build_operator,
+    ladder_coefficients,
+    m_values,
+)
 from tactsim.reference import default_tau_max
 from tactsim.states import CoherentSpinParams, basis_state, make_css, make_twin_fock
 
@@ -203,16 +209,31 @@ def _minus_i_jx(j):
     return BandedOperator(j, {1: half, -1: half}, SKEW_HERMITIAN)
 
 
-class TestAutoBoundary:
-    """The propagator takes only parity-preserving skew-hermitian generators;
-    the oracles take any generator."""
+def _twist_minus_i_jz2(j):
+    """The TACT generator plus -i Jz^2: parity preserving, with a diagonal band."""
+    g = tact_generator(j)
+    return BandedOperator(j, {**g.bands, 0: -1j * m_values(j) ** 2}, SKEW_HERMITIAN)
 
-    @pytest.mark.parametrize("make_generator", [_minus_i_jx, lambda j: build_operator(j, "Jz")],
-                             ids=["odd_offsets", "hermitian"])
+
+class TestAutoBoundary:
+    """The propagator takes only parity-preserving skew-hermitian generators
+    with no diagonal band; the oracles take any generator."""
+
+    @pytest.mark.parametrize("make_generator", [_minus_i_jx, lambda j: build_operator(j, "Jz"),
+                                                _twist_minus_i_jz2],
+                             ids=["odd_offsets", "hermitian", "diagonal_band"])
     def test_auto_rejects_other_generators(self, make_generator):
         for propagate in (evolve, lambda s, g, tau: evolve_many(s, g, [tau])):
-            with pytest.raises(ValueError, match="dense_expm"):
+            with pytest.raises(ValueError, match="dense_expm_evolve and krylov_evolve"):
                 propagate(basis_state(3, 3), make_generator(3), 0.2)
+
+    @ORACLES
+    @pytest.mark.parametrize("j", [0.5, 3, 7.5, 20])
+    def test_oracles_take_a_diagonal_band(self, j, oracle):
+        s = make_css(j, CoherentSpinParams(alpha=0.3, beta=1.2))
+        g = _twist_minus_i_jz2(j)
+        expect = scipy.linalg.expm(g.to_dense() * 0.2) @ s.amplitudes
+        assert np.max(np.abs(oracle(s, g, 0.2).amplitudes - expect)) <= 1e-10
 
     @ORACLES
     @pytest.mark.parametrize("j", [0.5, 3, 7.5, 50])
@@ -222,6 +243,34 @@ class TestAutoBoundary:
         for tau in (0.4, math.pi / 2, 2.9):
             oracle_out = oracle(s, g, tau).amplitudes
             assert np.max(np.abs(oracle_out - rotate(s, "x", tau).amplitudes)) <= 1e-12
+
+
+class TestBipartiteEigh:
+    """``_bipartite_eigh`` against scipy's ``eigh_tridiagonal``: eigenvalues and
+    the residual ||T V - V diag(values)|| within 1e-13 ||T||, and V^T V within
+    1e-13 of the identity."""
+
+    @staticmethod
+    def _check(mag):
+        values, vectors = dynamics._bipartite_eigh(mag)
+        expect = scipy.linalg.eigh_tridiagonal(np.zeros(len(mag) + 1), mag, eigvals_only=True)
+        scale = np.max(np.abs(expect))  # ||T||_2, as T is symmetric
+        tri = np.diag(mag, 1) + np.diag(mag, -1)
+        assert np.max(np.abs(values - expect)) <= 1e-13 * scale
+        assert np.linalg.norm(tri @ vectors - vectors * values, 2) <= 1e-13 * scale
+        assert np.linalg.norm(vectors.T @ vectors - np.eye(len(values)), 2) <= 1e-13
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 801), seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 5.0))
+    def test_random_positive_off_diagonals(self, n, seed, spread):
+        self._check(np.exp(np.random.default_rng(seed).uniform(-spread, spread, n - 1)))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(two_j=st.integers(1, 1600), chi=st.floats(0.05, 20.0).filter(lambda c: c != 1.0),
+           gamma=st.floats(-math.pi, math.pi).filter(lambda g: g != 0.0), parity=st.integers(0, 1))
+    def test_twisting_sector_bands(self, two_j, chi, gamma, parity):
+        band = tact_generator(two_j / 2, chi=chi, gamma=gamma).bands[2]
+        self._check(np.abs(band[parity::2]))
 
 
 class TestEvolveMany:
@@ -542,9 +591,8 @@ class TestMakeSSS:
         def forbidden(*args, **kwargs):
             raise AssertionError("a warm make_sss reached the general propagator")
 
-        for name in ("evolve", "evolve_many", "_cached_eigensystem"):
+        for name in ("evolve", "evolve_many", "_cached_eigensystem", "_bipartite_eigh"):
             monkeypatch.setattr(dynamics, name, forbidden)
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", forbidden)
         assert make_sss(60, 0.02).j == 60
 
 

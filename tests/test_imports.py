@@ -1,5 +1,6 @@
-"""``import tactsim`` loads every submodule it exports and scipy.linalg, and
-nothing the package does not use: any such module is import time in every run."""
+"""``import tactsim`` loads every submodule it exports and nothing the package
+does not use, scipy included: any such module is import time in every run.
+Nor does a run import a numpy submodule late, inside the work it times."""
 
 import subprocess
 import sys
@@ -9,15 +10,27 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 SUBMODULES = ("dynamics", "fitting", "observables", "operators", "reference", "reproduce",
               "scan", "states")
-UNUSED = ("scipy.special", "scipy.optimize", "click")
+UNUSED = ("scipy", "click")
+
+
+def _modules_loaded(code):
+    run = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+                          + code], capture_output=True, text=True, timeout=120, check=True)
+    return set(run.stdout.split())
 
 
 def test_import_loads_no_unused_module():
-    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import tactsim; "
-            "print(*sys.modules)")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         timeout=120, check=True)
-    loaded = set(run.stdout.split())
-    assert {f"tactsim.{name}" for name in SUBMODULES} | {"scipy.linalg"} <= loaded
+    loaded = _modules_loaded("import tactsim; print(*sys.modules)")
+    assert {f"tactsim.{name}" for name in SUBMODULES} <= loaded
     unused = sorted(m for m in loaded if any(m == u or m.startswith(u + ".") for u in UNUSED))
     assert not unused, f"import tactsim loads {unused}"
+
+
+def test_desk_run_and_state_request_load_no_module_late():
+    # numpy loads numpy.ma (np.unique, in a fit: three J at least) and numpy.fft on first use
+    late = _modules_loaded(
+        "import tactsim, tactsim.cli; from tactsim import dynamics, observables, reproduce; "
+        "before = set(sys.modules); reproduce.run_reproduction([5, 10, 20]); "
+        "observables.qpd(dynamics.make_sss(20, 0.05), 36, 18); "
+        "print(*(set(sys.modules) - before))")
+    assert not sorted(m for m in late if m.startswith(("numpy.", "scipy")))
