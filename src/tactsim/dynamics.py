@@ -323,14 +323,31 @@ def _y_turn(two_j, beta, v):
     return phase * _quarter_turn(two_j, turned)
 
 
-def _rotation_key(axis, angle):
-    """The rotation exp(-i angle n.J) as (label, angle) when n lies along a
-    coordinate axis, so y-like vectors take the real y route, else as given."""
-    axis = _axis_key(axis)
-    if isinstance(axis, tuple) and np.count_nonzero(axis) == 1:
+def _rotated(j, v, axis, angle):
+    """exp(-i angle n.J) v for the amplitudes v of spin j (``rotate``), verified to unit
+    norm within 1e-10.  A vector n along a coordinate axis takes that label's route."""
+    if not math.isfinite(angle):
+        raise ValueError("rotation angle must be finite")
+    axis, angle, two_j = _axis_key(axis), float(angle), validate_spin(j)
+    if isinstance(axis, tuple) and np.count_nonzero(axis) == 1:  # y-like: the real y route
         k = int(np.flatnonzero(axis)[0])
-        return AXIS_LABELS[k], angle * axis[k]
-    return axis, angle
+        axis, angle = AXIS_LABELS[k], angle * axis[k]
+    if (axis, angle) == ("y", math.pi / 2):
+        out = _quarter_turn(two_j, v)
+    elif axis == "z":
+        # Jz is diagonal here; apply the phases exactly
+        out = np.exp(-1j * angle * m_values(j)) * v
+    elif axis == "y":
+        # exp(-i angle Jy) is real: turn the real and imaginary parts apart
+        out = _y_turn(two_j, angle, v.real).real + 1j * _y_turn(two_j, angle, v.imag).real
+    else:
+        m = m_values(j)
+        x, y, z = (1.0, 0.0, 0.0) if axis == "x" else axis
+        polar, azimuth = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
+        t = angle * math.hypot(x, y, z)  # a vector axis may miss unit length by 1e-12
+        out = _y_turn(two_j, -polar, np.exp(1j * azimuth * m) * v)
+        out = np.exp(-1j * azimuth * m) * _y_turn(two_j, polar, np.exp(-1j * t * m) * out)
+    return _unit_columns(out, "rotated")
 
 
 def rotate(state: SpinState, axis, angle) -> SpinState:
@@ -339,29 +356,9 @@ def rotate(state: SpinState, axis, angle) -> SpinState:
     An axis at polar angle theta and azimuth phi turns the state by
     Rz(phi) Ry(theta) Rz(angle) Ry(-theta) Rz(-phi), Rz(a) = exp(-i a Jz) as
     phases and each Ry from products with Delta (``_y_turn``); no rotation
-    matrix is built.  The result is verified to unit norm within 1e-10.
+    matrix is built.  The amplitudes turn in ``_rotated``, verified to unit norm.
     """
-    if not math.isfinite(angle):
-        raise ValueError("rotation angle must be finite")
-    axis, angle = _rotation_key(axis, float(angle))
-    two_j = validate_spin(state.j)
-    v = state.amplitudes
-    if (axis, angle) == ("y", math.pi / 2):
-        out = _quarter_turn(two_j, v)
-    elif axis == "z":
-        # Jz is diagonal here; apply the phases exactly
-        out = np.exp(-1j * angle * m_values(state.j)) * v
-    elif axis == "y":
-        # exp(-i angle Jy) is real: turn the real and imaginary parts apart
-        out = _y_turn(two_j, angle, v.real).real + 1j * _y_turn(two_j, angle, v.imag).real
-    else:
-        m = m_values(state.j)
-        x, y, z = (1.0, 0.0, 0.0) if axis == "x" else axis
-        polar, azimuth = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
-        t = angle * math.hypot(x, y, z)  # a vector axis may miss unit length by 1e-12
-        out = _y_turn(two_j, -polar, np.exp(1j * azimuth * m) * v)
-        out = np.exp(-1j * azimuth * m) * _y_turn(two_j, polar, np.exp(-1j * t * m) * out)
-    return SpinState(state.j, _unit_columns(out, "rotated"))
+    return SpinState(state.j, _rotated(state.j, state.amplitudes, axis, angle))
 
 
 @lru_cache(maxsize=_GENERATOR_CACHE_SIZE)
@@ -397,7 +394,8 @@ def make_sss(j, tau, protocol: TwistProtocol = DEFAULT_PROTOCOL) -> SpinState:
 
     This is the canonical post-rotation squeezed state the squeezing
     metrics are defined on; scans score them on the twisted state before
-    the rotation instead (see ``scan``).  It is read off ``_twist_spectrum``.
+    the rotation instead (see ``scan``).  It is read off ``_twist_spectrum`` and turned
+    as amplitudes (``_rotated``), each verified to unit norm; one state is built.
     """
     if not (tau >= 0 and math.isfinite(tau)):
         raise ValueError("tau must be nonnegative and finite")
@@ -405,5 +403,5 @@ def make_sss(j, tau, protocol: TwistProtocol = DEFAULT_PROTOCOL) -> SpinState:
     twisted = np.eye(spin_dimension(j), 1, dtype=complex)  # |J,J>, exact at tau = 0
     if tau:
         twisted[0::2] = eig.expand([tau], coeffs, eig.is_real)
-    evolved = SpinState(j, _unit_columns(twisted, "propagated")[:, 0])
-    return rotate(evolved, protocol.rotation_axis, protocol.rotation_angle)
+    twisted = _unit_columns(twisted, "propagated")[:, 0]
+    return SpinState(j, _rotated(j, twisted, protocol.rotation_axis, protocol.rotation_angle))

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy would load it inside the first qpd)
 
-from .operators import build_operator, spin_dimension, validate_spin
+from .operators import build_operator, validate_spin
 from .states import SpinState, css_magnitudes
 
 _VARIANCE_ROUND_OFF = 64 * np.finfo(float).eps  # per unit of max(1, <J_a^2>)
@@ -98,7 +98,12 @@ class QpdGrid:
         return len(self.thetas)
 
     def value_at(self, phi, theta) -> float:
-        """Value at the grid node nearest to (phi, theta)."""
+        """Value at the grid node nearest to (phi, theta); phi wraps modulo 2 pi, and a
+        non-finite phi or a theta outside [0, pi] raises ValueError."""
+        if not math.isfinite(phi):
+            raise ValueError(f"phi must be finite, got {phi!r}")
+        if not 0.0 <= theta <= math.pi:  # NaN fails too
+            raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
         ip = int(np.argmin(np.abs((self.phis - phi + math.pi) % (2 * math.pi) - math.pi)))
         it = int(np.argmin(np.abs(self.thetas - theta)))
         return float(self.values[ip, it])
@@ -131,9 +136,19 @@ class QpdGrid:
 
 
 @lru_cache(maxsize=8)
+def _grid_axes(n_phi, n_theta):
+    """(phis, thetas) of the QPD grid, built once per size and shared read-only."""
+    axes = 2 * math.pi * np.arange(n_phi) / n_phi, np.linspace(0.0, math.pi, n_theta)
+    for arr in axes:
+        arr.flags.writeable = False
+    return axes
+
+
+@lru_cache(maxsize=8)
 def _css_table(two_j, n_theta):
-    """css_magnitudes of spin two_j/2 on the QPD theta grid, shared read-only."""
-    mags = css_magnitudes(two_j / 2, np.linspace(0.0, math.pi, n_theta))
+    """css_magnitudes of spin two_j/2 on the QPD theta grid, theta-major: one
+    C-contiguous row of 2J+1 magnitudes per theta, shared read-only."""
+    mags = np.ascontiguousarray(css_magnitudes(two_j / 2, np.linspace(0.0, math.pi, n_theta)).T)
     mags.flags.writeable = False
     return mags
 
@@ -142,44 +157,50 @@ def qpd(state: SpinState, n_phi: int = 360, n_theta: int = 180) -> QpdGrid:
     """Quasi-probability distribution of the state over the Bloch sphere.
 
     The overlap with CSS(phi, theta) is a polynomial in e^{-i phi} with
-    theta-dependent coefficients, so each theta column is evaluated for
-    all phi at once with an FFT (after folding indices modulo n_phi).  The
-    coherent-state magnitudes are cached per (J, n_theta).  When every
-    amplitude is real (any SSS with gamma = 0, the EWSS, a CSS with alpha =
-    0), the fold is real and is kept in the output array, a real FFT gives
-    phi in [0, pi], and Q(-phi, theta) = Q(phi, theta) mirrors the rest;
-    |.|^2 and the clip are taken in place in that one array.  If also a_-M = a_M
-    exactly (the default-protocol SSS, the EWSS), Q(phi, pi - theta) = Q(phi,
-    theta): ceil(n_theta/2) theta columns are computed and mirrored.
+    theta-dependent coefficients, so each theta row is evaluated for all phi
+    at once by an FFT along it.  The coherent-state magnitudes are cached per
+    (J, n_theta), one contiguous row per theta (``_css_table``); the rows'
+    coefficients fold modulo n_phi in one pass, real and imaginary parts apart,
+    and |.|^2 is written into the (n_phi, n_theta) values transposed.  When
+    every amplitude is real (any SSS with gamma = 0, the EWSS, a CSS with
+    alpha = 0), a real FFT gives phi in [0, pi] and Q(-phi, theta) = Q(phi,
+    theta) mirrors the rest.  If also a_-M = a_M exactly (the default-protocol
+    SSS, the EWSS), Q(phi, pi - theta) = Q(phi, theta): the first
+    ceil(n_theta/2) rows are computed and mirrored.
     """
     for name, size in (("n_phi", n_phi), ("n_theta", n_theta)):
         if not isinstance(size, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {size!r}")
     if n_phi < 2 or n_theta < 2:
         raise ValueError("grid resolutions must be at least 2")
-    n = spin_dimension(state.j)
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = 2 * math.pi * np.arange(n_phi) / n_phi
+    n = validate_spin(state.j) + 1
     amps = state.amplitudes
     real = not np.any(amps.imag)
-    amps = (amps.real if real else amps)[:, None]
-    half = (n_theta + 1) // 2 if real and np.array_equal(amps, amps[::-1]) else n_theta
-    mags = _css_table(validate_spin(state.j), n_theta)[:, :half]  # (n, half)
+    parts = amps.real[None] if real else np.stack((amps.real, amps.imag))
+    half = (n_theta + 1) // 2 if real and np.array_equal(parts, parts[:, ::-1]) else n_theta
+    mags = _css_table(n - 1, n_theta)[:half]  # (theta, k)
     values = np.empty((n_phi, n_theta))
-    # a real fold of whole rows lives in the output rows, which |spectrum| overwrites
-    folded = (values[: min(n, n_phi)] if real and half == n_theta
-              else np.empty((min(n, n_phi), half), amps.dtype))
-    np.multiply(mags[:n_phi], amps[:n_phi], out=folded)
-    for start in range(n_phi, n, n_phi):  # fold M-index blocks of n_phi rows in place
-        folded[: n - start] += mags[start:start + n_phi] * amps[start:start + n_phi]
-    spectrum = (np.fft.rfft if real else np.fft.fft)(folded, n=n_phi, axis=0)
-    rows = values[: len(spectrum), :half]
-    np.abs(spectrum, out=rows)
-    np.square(rows, out=rows)
-    np.clip(rows, 0.0, 1.0, out=rows)
-    values[: len(rows), half:] = rows[:, : n_theta - half][:, ::-1]  # Q(phi, pi - theta)
-    values[len(rows):] = values[n_phi - len(rows):0:-1]  # real: Q(-phi) = Q(phi)
-    return QpdGrid(j=state.j, phis=phis, thetas=thetas, values=values)
+    # a real fold lives in the output's buffer until the FFT has read it; a complex one
+    # is the real and imaginary parts of the FFT's input, which it transforms in place
+    source = values if real else np.empty((half, n_phi), complex)
+    folded = source.reshape(-1).view(float)[: len(parts) * half * n_phi]
+    folded = folded.reshape(half, n_phi, len(parts)).transpose(2, 0, 1)  # (part, theta, phi)
+    width = min(n, n_phi)
+    whole = n // width * width  # k in whole blocks of width; the rest adds after
+    np.einsum("tbr,cbr->ctr", mags[:, :whole].reshape(half, -1, width),
+              parts[:, :whole].reshape(len(parts), -1, width), out=folded[..., :width])
+    folded[..., : n - whole] += mags[:, whole:] * parts[:, None, whole:]
+    folded[..., width:] = 0.0  # zero-padded here, which is cheaper than by the FFT
+    squares = (np.fft.rfft(folded[0]) if real else np.fft.fft(source, out=source)).view(float)
+    squares *= squares  # |.|^2 in place, summed into the real parts' slots
+    power = squares[:, 0::2]  # (theta, phi)
+    np.add(power, squares[:, 1::2], out=power)
+    np.minimum(power, 1.0, out=power)  # a sum of squares needs no clip at 0
+    rows = power.shape[1]
+    values[:rows, :half] = power.T
+    values[:rows, half:] = power[: n_theta - half][::-1].T  # Q(phi, pi - theta)
+    values[rows:] = values[n_phi - rows:0:-1]  # real: Q(-phi) = Q(phi)
+    return QpdGrid(state.j, *_grid_axes(n_phi, n_theta), values)
 
 
 @dataclass(frozen=True)

@@ -47,11 +47,12 @@ _INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
 _INV_PHI_SQ = (3 - math.sqrt(5)) / 2  # 1/phi^2
 
 
-def _bra_row(make_target, j, modes):
+def _bra_row(make_target, j, modes, turned=True):
     """|<target|R psi>|^2 = |<R^dag target|psi>|^2: one row, the bra target^dag R,
-    which is R^T conj(target) on Delta's real blocks."""
-    bra = _quarter_turn_t(validate_spin(j), np.conj(make_target(j).amplitudes))
-    return bra[None] @ modes
+    which is R^T conj(target) on Delta's real blocks, or conj(target) itself when R
+    fixes the target (``turned`` False: the twin-Fock state, the Jy = 0 eigenstate)."""
+    bra = np.conj(make_target(j).amplitudes)
+    return (_quarter_turn_t(validate_spin(j), bra) if turned else bra)[None] @ modes
 
 
 def _odd_rows(axis, j, modes):
@@ -64,11 +65,12 @@ def _odd_rows(axis, j, modes):
 # With psi(tau) = modes @ exp(-i lam tau), projection(j, modes) is M, bound once
 # per scan, and the metric of psi is |M exp(-i lam tau)|^p; the single-state metric
 # scores one post-rotation state R psi.  M carries R: fidelities take the bra
-# target^dag R, and as R^dag Jz R = -Jx and R^dag Jy R = Jy, dJz is |Jx psi|.
+# target^dag R (R fixes the twin-Fock state), and as R^dag Jz R = -Jx and
+# R^dag Jy R = Jy, dJz is |Jx psi|.
 METRICS = {
     "fid_ewss": (1.0, 2, partial(_bra_row, make_ewss),
                  lambda state: fidelity(make_ewss(state.j), state)),
-    "fid_tfs": (1.0, 2, partial(_bra_row, make_twin_fock),
+    "fid_tfs": (1.0, 2, partial(_bra_row, make_twin_fock, turned=False),
                 lambda state: fidelity(make_twin_fock(state.j), state)),
     "var_z_max": (1.0, 1, partial(_odd_rows, 0),
                   lambda state: math.sqrt(spin_moments(state).variance_z)),

@@ -27,10 +27,15 @@ def test_import_loads_no_unused_module():
 
 
 def test_desk_run_and_state_request_load_no_module_late():
-    # numpy loads numpy.ma (np.unique, in a fit: three J at least) and numpy.fft on first use
+    # numpy loads numpy.ma (np.unique, in a fit: three J at least) and numpy.fft on first
+    # use; the QPDs take the real half route, the fold (J = 400 on 360 phi) and the
+    # complex route of a state with no mirror symmetry
     late = _modules_loaded(
         "import tactsim, tactsim.cli; from tactsim import dynamics, observables, reproduce; "
+        "from tactsim.states import CoherentSpinParams, make_css; "
         "before = set(sys.modules); reproduce.run_reproduction([5, 10, 20]); "
         "observables.qpd(dynamics.make_sss(20, 0.05), 36, 18); "
+        "observables.qpd(dynamics.make_sss(400, 0.005), 360, 180); "
+        "observables.qpd(make_css(20, CoherentSpinParams(alpha=0.4, beta=1.0)), 36, 19); "
         "print(*(set(sys.modules) - before))")
     assert not sorted(m for m in late if m.startswith(("numpy.", "scipy")))

@@ -140,18 +140,41 @@ class TestQpd:
         assert grid.values.max() <= 1.0
         assert grid.values.min() >= 0.0
 
+    @staticmethod
+    def _direct(state, grid):
+        """|<CSS(phi, theta)|state>|^2 at every node of the grid, as inner products."""
+        css_phases = np.exp(-1j * np.outer(grid.phis, np.arange(state.dim)))  # (n_phi, 2J+1)
+        return np.abs(css_phases @ (css_magnitudes(state.j, grid.thetas)
+                                    * state.amplitudes[:, None])) ** 2
+
     def test_matches_direct_inner_products(self):
         # real amplitudes take the real FFT and the phi mirror, complex ones the full FFT
         for name, make, n_phi, complex_amps in _DIRECT_CASES:
             state = make()
             assert bool(np.any(state.amplitudes.imag)) == complex_amps, name
             grid = qpd(state, n_phi=n_phi, n_theta=7)
-            k = np.arange(state.dim)
-            css_phases = np.exp(1j * np.outer(grid.phis, k))  # (n_phi, 2J+1)
-            for it, theta in enumerate(grid.thetas):
-                css = css_phases * css_magnitudes(state.j, theta)
-                direct = np.abs(css.conj() @ state.amplitudes) ** 2
-                assert np.max(np.abs(grid.values[:, it] - direct)) <= 1e-13, (name, it)
+            assert np.max(np.abs(grid.values - self._direct(state, grid))) <= 1e-13, name
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(two_j=st.integers(1, 900), complex_amps=st.booleans(), symmetric=st.booleans(),
+           folded=st.booleans(), phi_fraction=st.floats(0.0, 1.0), n_theta=st.integers(2, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_direct_inner_products_on_random_states(
+            self, two_j, complex_amps, symmetric, folded, phi_fraction, n_theta, seed):
+        # every route: real or complex, a_-M = a_M or not (the theta mirror), n_phi
+        # below 2J+1 (the fold) or above it (the zero padding), odd or even n_theta
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=two_j + 1) + 1j * complex_amps * rng.normal(size=two_j + 1)
+        if symmetric:
+            amps = amps + amps[::-1]
+        state = SpinState(j=two_j / 2, amplitudes=amps / np.linalg.norm(amps))
+        assert np.array_equal(state.amplitudes, state.amplitudes[::-1]) == symmetric
+        if folded and two_j > 1:
+            n_phi = 2 + round(phi_fraction * (two_j - 2))
+        else:
+            n_phi = two_j + 1 + round(phi_fraction * 40)
+        grid = qpd(state, n_phi=n_phi, n_theta=n_theta)
+        assert np.max(np.abs(grid.values - self._direct(state, grid))) <= 1e-13
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(two_j=st.integers(1, 120), extra=st.integers(1, 40), n_theta=st.integers(2, 9),
@@ -208,8 +231,8 @@ class TestQpd:
         state = make_sss(j, 0.05)
         cached = qpd(state, n_phi=n_phi, n_theta=24)
         assert np.array_equal(qpd(state, n_phi=n_phi, n_theta=24).values, cached.values)
-        monkeypatch.setattr(observables, "_css_table",
-                            lambda two_j, n_theta: css_magnitudes(j, cached.thetas))
+        monkeypatch.setattr(observables, "_css_table", lambda two_j, n_theta:
+                            np.ascontiguousarray(css_magnitudes(j, cached.thetas).T))
         fresh = qpd(state, n_phi=n_phi, n_theta=24)
         assert np.array_equal(fresh.values, cached.values)
 
@@ -222,11 +245,16 @@ class TestQpd:
 
         monkeypatch.setattr(observables, "css_magnitudes", counting)
         observables._css_table.cache_clear()
-        for _ in range(3):
-            qpd(make_ewss(3), n_phi=8, n_theta=7)
+        grids = [qpd(make_ewss(3), n_phi=8, n_theta=7) for _ in range(3)]
         assert calls == [3.0]
+        # the axes too are built once per grid size and shared read-only
+        assert grids[0].phis is grids[2].phis and grids[0].thetas is grids[2].thetas
+        assert not (grids[0].phis.flags.writeable or grids[0].thetas.flags.writeable)
         table = observables._css_table(6, 7)
         assert not table.flags.writeable
+        # theta-major: one contiguous row of the 2J+1 magnitudes per theta
+        assert table.shape == (7, 7) and table.flags.c_contiguous
+        assert np.array_equal(table, css_magnitudes(3.0, np.linspace(0.0, math.pi, 7)).T)
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
 
@@ -244,11 +272,13 @@ class TestQpd:
 
     @staticmethod
     def _fft_widths(monkeypatch):
-        """The number of theta columns each FFT that qpd takes transforms."""
+        """The number of theta rows each FFT that qpd takes transforms, each
+        along its contiguous last axis."""
         widths = []
         for name in ("fft", "rfft"):
             def counted(a, *args, _transform=getattr(np.fft, name), **kwargs):
-                widths.append(a.shape[1])
+                assert a.ndim == 2 and a.flags.c_contiguous and kwargs.get("axis", -1) == -1
+                widths.append(a.shape[0])
                 return _transform(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
@@ -269,6 +299,22 @@ class TestQpd:
             direct = np.abs(np.exp(-1j * np.outer(grid.phis, np.arange(25)))
                             @ (css_magnitudes(12, grid.thetas) * state.amplitudes[:, None])) ** 2
             assert np.max(np.abs(grid.values - direct)) <= 1e-13
+
+    @pytest.mark.parametrize("phi, theta, name", [
+        (math.nan, 0.3, "phi"), (math.inf, 0.3, "phi"), (-math.inf, 0.3, "phi"),
+        (0.3, math.nan, "theta"), (0.0, 7.0, "theta"), (0.0, -1.0, "theta"),
+        (0.0, math.inf, "theta")])
+    def test_value_at_rejects_bad_angles(self, phi, theta, name):
+        grid = qpd(make_ewss(2), n_phi=8, n_theta=5)
+        with pytest.raises(ValueError, match=name):
+            grid.value_at(phi, theta)
+
+    def test_value_at_wraps_phi(self):
+        grid = qpd(make_css(2, CoherentSpinParams(alpha=0.5, beta=1.0)), n_phi=8, n_theta=5)
+        for ip, phi in enumerate(grid.phis):
+            for turns in (-2, 1, 3):
+                assert grid.value_at(phi + turns * 2 * math.pi, math.pi) == grid.values[ip, -1]
+        assert grid.value_at(0.0, 0.0) == grid.values[0, 0]
 
     def test_grid_invariants(self):
         with pytest.raises(ValueError, match="match"):
@@ -328,7 +374,7 @@ class TestSpinMoments:
             spin_moments(state)
 
 
-def test_repeated_requests_build_each_per_j_table_once():
+def test_repeated_requests_build_each_per_j_table_once(monkeypatch):
     # the calls of one single-state request (make_sss, moments, both target
     # fidelities, QPD), twelve times at one J
     caches = (dynamics._twist_spectrum, dynamics._wigner_block, observables._css_table,
@@ -343,6 +389,15 @@ def test_repeated_requests_build_each_per_j_table_once():
         fidelity(make_twin_fock(j), state)
         qpd(state, n_phi=36, n_theta=18)
     assert [cache.cache_info().misses for cache in caches] == [1] * len(caches)
+    # a warm make_sss builds one state, the one it returns, and a warm qpd no table
+    built, tables = [], []
+    monkeypatch.setattr(dynamics, "SpinState",
+                        lambda *args: built.append(args) or SpinState(*args))
+    monkeypatch.setattr(observables, "css_magnitudes",
+                        lambda *args: tables.append(args) or css_magnitudes(*args))
+    state = make_sss(j, 0.4 * default_tau_max(j))
+    qpd(state, n_phi=36, n_theta=18)
+    assert (len(built), len(tables)) == (1, 0)
     for target in (make_ewss(j), make_twin_fock(j)):
         assert not target.amplitudes.flags.writeable
         with pytest.raises(ValueError):

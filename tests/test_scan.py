@@ -213,6 +213,16 @@ def test_bra_row_is_the_target_turned_back(make_target, j):
     assert np.max(np.abs(scan._bra_row(make_target, j, modes) - bra @ modes)) <= 1e-14
 
 
+@pytest.mark.parametrize("j", [2, 50, 400])
+def test_twin_fock_bra_needs_no_turn(j):
+    # R = exp(-i pi/2 Jy) fixes the twin-Fock state, the Jy = 0 eigenstate, so the
+    # fid_tfs projection takes conj(TFS) as it is; Delta^T moves it by round-off only
+    bra = np.conj(make_twin_fock(j).amplitudes)
+    assert np.max(np.abs(dynamics._quarter_turn_t(2 * j, bra) - bra)) <= 1e-12
+    modes = scan._scan_basis(j, 0.0, default_tau_max(j), 8)[1]
+    assert np.array_equal(scan.METRICS["fid_tfs"][2](j, modes), bra[None] @ modes)
+
+
 @pytest.mark.parametrize("j", [20, 20.5])
 def test_scans_and_requests_build_no_odd_block(j):
     # the twisted |J,J> fills the even columns of Delta, and the targets are
