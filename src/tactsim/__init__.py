@@ -10,9 +10,7 @@ scaling laws.
 from types import ModuleType as _ModuleType
 
 from .dynamics import (
-    DEFAULT_PROTOCOL,
     PropagationError,
-    TwistProtocol,
     evolve,
     evolve_many,
     make_sss,

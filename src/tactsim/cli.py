@@ -20,7 +20,7 @@ from pathlib import Path
 import click
 from click.core import ParameterSource
 
-from .dynamics import PropagationError, TwistProtocol, evolve, make_sss, tact_generator
+from .dynamics import PropagationError, evolve, make_sss, tact_generator
 from .fitting import FAMILY_NAMES, FitError, fit
 from .observables import prob_distribution, qpd
 from .reproduce import SERIES_COLUMNS, run_reproduction
@@ -42,8 +42,7 @@ _STATE_FACTORIES = {
     "ewss": ((), make_ewss),
     "tfs": ((), make_twin_fock),
     "cat": ((), make_cat),
-    "sss": (("tau", "chi", "gamma"),
-            lambda j, tau, chi, gamma: make_sss(j, tau, TwistProtocol(chi=chi, gamma=gamma))),
+    "sss": (("tau", "chi", "gamma"), make_sss),
 }
 STATE_KINDS = tuple(_STATE_FACTORIES)
 _FORMATS = ("json", "csv", "both")
@@ -145,11 +144,17 @@ def main(ctx, config):
     ctx.obj = _Settings(_load_config(config))
 
 
-def _out_dir(settings, out) -> Path:
-    out = settings.get("out", out, ".")
+def _make_dir(out) -> Path:
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create the directory ({exc.strerror})") from None
     return path
+
+
+def _out_dir(settings, out) -> Path:
+    return settings.get("out", out, Path("."), _make_dir)
 
 
 def _build_state(kind, j, **flags) -> SpinState:
@@ -170,11 +175,12 @@ def _emit_state(out: Path, prefix: str, state: SpinState, fmt: str):
         path = out / f"{prefix}.json"
         _write_json(path, state.to_json_dict())
         paths.append(path)
-    prob = prob_distribution(state)
-    path = out / f"{prefix}_prob.csv"
-    _write_csv(path, ("M", "P"),
-               [(float(m), float(p)) for m, p in zip(state.m_values, prob)])
-    paths.append(path)
+    if fmt in ("csv", "both"):
+        prob = prob_distribution(state)
+        path = out / f"{prefix}_prob.csv"
+        _write_csv(path, ("M", "P"),
+                   [(float(m), float(p)) for m, p in zip(state.m_values, prob)])
+        paths.append(path)
     return paths
 
 

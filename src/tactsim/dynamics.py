@@ -30,7 +30,6 @@ generator on its whole dense matrix (``tests/oracles.py``).
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -39,7 +38,6 @@ import numpy as np
 # wraps it as dynamics.build_operator, and a missing attribute breaks every
 # traced run
 from .operators import (  # noqa: F401
-    SKEW_HERMITIAN,
     BandedOperator,
     build_operator,
     ladder_coefficients,
@@ -53,32 +51,12 @@ _EVOLVE_NORM_TOL = 1e-10
 _WINDOW_TAIL = 1e-14  # norm of the |J,J> coefficients a mode window may drop
 _EIGEN_CACHE_SIZE = 32  # twisting parity blocks, and |J,J> windows, one per (J, chi, gamma)
 _WIGNER_CACHE_SIZE = 32  # Delta blocks (_wigner_block): one per J and column parity
-_GENERATOR_CACHE_SIZE = 64
 
 AXIS_LABELS = ("x", "y", "z")
 
 
 class PropagationError(RuntimeError):
     """Propagation could not reach the requested accuracy."""
-
-
-@dataclass(frozen=True)
-class TwistProtocol:
-    """Squeezing parameters plus the final rotation specification."""
-
-    chi: float = 1.0
-    gamma: float = 0.0
-    rotation_axis: object = "y"
-    rotation_angle: float = math.pi / 2
-
-    def __post_init__(self):
-        if not (self.chi > 0 and math.isfinite(self.chi)):
-            raise ValueError("chi must be positive and finite")
-        if not math.isfinite(self.gamma):
-            raise ValueError("gamma must be finite")
-        if not math.isfinite(self.rotation_angle):
-            raise ValueError("rotation angle must be finite")
-        object.__setattr__(self, "rotation_axis", _axis_key(self.rotation_axis))
 
 
 def _axis_key(axis):
@@ -99,26 +77,20 @@ def _axis_key(axis):
     return tuple(float(c) for c in vec)
 
 
-DEFAULT_PROTOCOL = TwistProtocol()
-
-
 def tact_generator(j, chi=1.0, gamma=0.0) -> BandedOperator:
     """G = -i H / hbar = -(chi/2) (e^{-2i gamma} J+^2 - e^{2i gamma} J-^2).
 
-    Skew-hermitian with bandwidth 2; real antisymmetric when gamma = 0.
+    Skew-hermitian with bandwidth 2 by construction (its lower band is minus
+    the conjugate of the upper); real antisymmetric when gamma = 0.
     """
     validate_spin(j)
     if not (chi > 0 and math.isfinite(chi)):
         raise ValueError("chi must be positive and finite")
+    if not math.isfinite(gamma):
+        raise ValueError("gamma must be finite")
     lad = ladder_coefficients(j)
-    quad = lad[:-1] * lad[1:]
-    if gamma == 0.0:
-        upper = -(chi / 2) * quad
-        lower = (chi / 2) * quad
-    else:
-        upper = -(chi / 2) * np.exp(-2j * gamma) * quad
-        lower = (chi / 2) * np.exp(2j * gamma) * quad
-    return BandedOperator(j, {2: upper, -2: lower}, SKEW_HERMITIAN)
+    upper = -(chi / 2) * (np.exp(-2j * gamma) if gamma else 1.0) * (lad[:-1] * lad[1:])
+    return BandedOperator(j, {2: upper, -2: -np.conj(upper)})
 
 
 def _matvec(a, x):
@@ -220,7 +192,7 @@ def evolve_many(state: SpinState, generator: BandedOperator, taus) -> np.ndarray
     PropagationError rather than returning a silently inaccurate state.
     """
     taus = _checked_taus(state, generator, taus)
-    if not (generator.even_offsets_only and generator.hermiticity_tag == SKEW_HERMITIAN
+    if not (generator.even_offsets_only and generator.is_symmetric(-1)
             and not np.any(generator.bands.get(0, 0))):
         raise ValueError("evolve_many takes only parity-preserving skew-hermitian "
                          "generators with no diagonal band; the test oracles "
@@ -323,11 +295,18 @@ def _y_turn(two_j, beta, v):
     return phase * _quarter_turn(two_j, turned)
 
 
-def _rotated(j, v, axis, angle):
-    """exp(-i angle n.J) v for the amplitudes v of spin j (``rotate``), verified to unit
-    norm within 1e-10.  A vector n along a coordinate axis takes that label's route."""
+def rotate(state: SpinState, axis, angle) -> SpinState:
+    """Apply exp(-i * angle * J_axis); axis is "x", "y", "z" or a unit vector.
+
+    An axis at polar angle theta and azimuth phi turns the state by
+    Rz(phi) Ry(theta) Rz(angle) Ry(-theta) Rz(-phi), Rz(a) = exp(-i a Jz) as
+    phases and each Ry from products with Delta (``_y_turn``); no rotation
+    matrix is built.  A vector along a coordinate axis takes that label's
+    route, and the result is verified to unit norm within 1e-10.
+    """
     if not math.isfinite(angle):
         raise ValueError("rotation angle must be finite")
+    j, v = state.j, state.amplitudes
     axis, angle, two_j = _axis_key(axis), float(angle), validate_spin(j)
     if isinstance(axis, tuple) and np.count_nonzero(axis) == 1:  # y-like: the real y route
         k = int(np.flatnonzero(axis)[0])
@@ -347,24 +326,7 @@ def _rotated(j, v, axis, angle):
         t = angle * math.hypot(x, y, z)  # a vector axis may miss unit length by 1e-12
         out = _y_turn(two_j, -polar, np.exp(1j * azimuth * m) * v)
         out = np.exp(-1j * azimuth * m) * _y_turn(two_j, polar, np.exp(-1j * t * m) * out)
-    return _unit_columns(out, "rotated")
-
-
-def rotate(state: SpinState, axis, angle) -> SpinState:
-    """Apply exp(-i * angle * J_axis); axis is "x", "y", "z" or a unit vector.
-
-    An axis at polar angle theta and azimuth phi turns the state by
-    Rz(phi) Ry(theta) Rz(angle) Ry(-theta) Rz(-phi), Rz(a) = exp(-i a Jz) as
-    phases and each Ry from products with Delta (``_y_turn``); no rotation
-    matrix is built.  The amplitudes turn in ``_rotated``, verified to unit norm.
-    """
-    return SpinState(state.j, _rotated(state.j, state.amplitudes, axis, angle))
-
-
-@lru_cache(maxsize=_GENERATOR_CACHE_SIZE)
-def _shared_generator(j, chi, gamma) -> BandedOperator:
-    """tact_generator, built once per spin and parameters (it is immutable)."""
-    return tact_generator(j, chi=chi, gamma=gamma)
+    return SpinState(j, _unit_columns(out, "rotated"))
 
 
 @lru_cache(maxsize=_EIGEN_CACHE_SIZE)
@@ -374,7 +336,7 @@ def _twist_spectrum(j, chi, gamma):
     of H = iG there, solved uncached and kept on the modes |J,J> occupies; the least
     |w_k| go while their norm stays within 1e-14.  Checked once for every tau, as
     |exp(-i lam tau)| = 1: |w| = 1 and |P V w - e_0| within 1e-10, else PropagationError."""
-    eig = _TridiagonalExp(1j * _shared_generator(float(j), chi, gamma).bands[2][0::2])
+    eig = _TridiagonalExp(1j * tact_generator(j, chi, gamma).bands[2][0::2])
     coeffs = eig.vectors[0]  # V^T P* e_0, as P_0 = 1
     order = np.argsort(np.abs(coeffs))
     keep = np.sort(order[np.cumsum(coeffs[order] ** 2) > _WINDOW_TAIL**2])
@@ -389,19 +351,21 @@ def _twist_spectrum(j, chi, gamma):
     return eig, coeffs
 
 
-def make_sss(j, tau, protocol: TwistProtocol = DEFAULT_PROTOCOL) -> SpinState:
-    """Squeeze |J,J> for time tau, then apply the protocol rotation.
+def make_sss(j, tau, chi=1.0, gamma=0.0) -> SpinState:
+    """Squeeze |J,J> for time tau under tact_generator(j, chi, gamma), then turn
+    it by pi/2 about y (Kitagawa & Ueda, PRA 47, 5138 (1993)).
 
     This is the canonical post-rotation squeezed state the squeezing
     metrics are defined on; scans score them on the twisted state before
     the rotation instead (see ``scan``).  It is read off ``_twist_spectrum`` and turned
-    as amplitudes (``_rotated``), each verified to unit norm; one state is built.
+    as amplitudes by Delta (``_quarter_turn``), each verified to unit norm; one state
+    is built.
     """
     if not (tau >= 0 and math.isfinite(tau)):
         raise ValueError("tau must be nonnegative and finite")
-    eig, coeffs = _twist_spectrum(j, protocol.chi, protocol.gamma)
+    eig, coeffs = _twist_spectrum(j, chi, gamma)
     twisted = np.eye(spin_dimension(j), 1, dtype=complex)  # |J,J>, exact at tau = 0
     if tau:
         twisted[0::2] = eig.expand([tau], coeffs, eig.is_real)
     twisted = _unit_columns(twisted, "propagated")[:, 0]
-    return SpinState(j, _rotated(j, twisted, protocol.rotation_axis, protocol.rotation_angle))
+    return SpinState(j, _unit_columns(_quarter_turn(validate_spin(j), twisted), "rotated"))

@@ -12,10 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITIAN = "hermitian"
-SKEW_HERMITIAN = "skew-hermitian"
-GENERAL = "general"
-
 _SYMMETRY_TOL = 1e-14
 
 
@@ -55,12 +51,9 @@ class BandedOperator:
 
     j: float
     bands: dict
-    hermiticity_tag: str = GENERAL
 
     def __post_init__(self):
         n = spin_dimension(self.j)
-        if self.hermiticity_tag not in (HERMITIAN, SKEW_HERMITIAN, GENERAL):
-            raise ValueError(f"unknown hermiticity tag {self.hermiticity_tag!r}")
         clean = {}
         for d, coef in self.bands.items():
             if d not in (-2, -1, 0, 1, 2):
@@ -74,20 +67,14 @@ class BandedOperator:
             coef.flags.writeable = False
             clean[d] = coef
         object.__setattr__(self, "bands", clean)
-        self._check_symmetry()
 
-    def _check_symmetry(self):
-        if self.hermiticity_tag == GENERAL:
-            return
-        sign = 1.0 if self.hermiticity_tag == HERMITIAN else -1.0
+    def is_symmetric(self, sign) -> bool:
+        """True when A^dagger = sign * A within 1e-14 per element: sign 1 for a
+        hermitian operator, -1 for a skew-hermitian one."""
         n = self.dim
-        for d in (0, 1, 2):
-            upper = self.bands.get(d, np.zeros(n - d))
-            lower = self.bands.get(-d, np.zeros(n - d))
-            if not np.allclose(lower, sign * np.conj(upper), atol=_SYMMETRY_TOL, rtol=0):
-                raise ValueError(
-                    f"bands at offsets +-{d} violate the {self.hermiticity_tag} tag"
-                )
+        return all(np.allclose(self.bands.get(-d, np.zeros(n - d)),
+                               sign * np.conj(self.bands.get(d, np.zeros(n - d))),
+                               atol=_SYMMETRY_TOL, rtol=0) for d in (0, 1, 2))
 
     @property
     def dim(self) -> int:
@@ -127,23 +114,21 @@ class BandedOperator:
         return out
 
 
+# kind -> its bands from the M values and the ladder coefficients.  <M|J+^2|M-2> =
+# c(M-2)c(M-1) and J-^2 is its transpose, so J+^2 - J-^2 is real antisymmetric.
+_OPERATOR_BANDS = {
+    "Jx": lambda m, lad: {1: lad / 2, -1: lad / 2},
+    "Jy": lambda m, lad: {1: -0.5j * lad, -1: 0.5j * lad},
+    "Jz": lambda m, lad: {0: m},
+    "Jplus": lambda m, lad: {1: lad},
+    "Jminus": lambda m, lad: {-1: lad},
+    "Jplus2_minus_Jminus2": lambda m, lad: {2: lad[:-1] * lad[1:], -2: -(lad[:-1] * lad[1:])},
+}
+
+
 def build_operator(j, kind: str) -> BandedOperator:
     """Standard collective operators: Jx, Jy, Jz, J+, J-, and J+^2 - J-^2."""
     validate_spin(j)
-    if kind == "Jz":
-        return BandedOperator(j, {0: m_values(j)}, HERMITIAN)
-    lad = ladder_coefficients(j)
-    if kind == "Jplus":
-        return BandedOperator(j, {1: lad}, GENERAL)
-    if kind == "Jminus":
-        return BandedOperator(j, {-1: lad}, GENERAL)
-    if kind == "Jx":
-        return BandedOperator(j, {1: lad / 2, -1: lad / 2}, HERMITIAN)
-    if kind == "Jy":
-        return BandedOperator(j, {1: -0.5j * lad, -1: 0.5j * lad}, HERMITIAN)
-    if kind == "Jplus2_minus_Jminus2":
-        # <M|J+^2|M-2> = c(M-2)c(M-1); J-^2 is its transpose, so the
-        # difference is real antisymmetric.
-        quad = lad[:-1] * lad[1:]
-        return BandedOperator(j, {2: quad, -2: -quad}, SKEW_HERMITIAN)
-    raise ValueError(f"unknown operator kind {kind!r}")
+    if kind not in _OPERATOR_BANDS:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    return BandedOperator(j, _OPERATOR_BANDS[kind](m_values(j), ladder_coefficients(j)))

@@ -27,13 +27,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .dynamics import (
-    DEFAULT_PROTOCOL,
-    PropagationError,
-    _quarter_turn_t,
-    _twist_spectrum,
-    make_sss,
-)
+from .dynamics import PropagationError, _quarter_turn_t, _twist_spectrum, make_sss
 from .observables import _spin_operators, fidelity, spin_moments
 from .reference import default_tau_max
 from .states import SpinState, make_ewss, make_twin_fock
@@ -80,8 +74,8 @@ METRICS = {
 
 
 def squeezed_state(j, tau):
-    """The canonical squeezed state (default protocol) at time tau."""
-    return make_sss(j, tau, DEFAULT_PROTOCOL)
+    """The canonical squeezed state (chi = 1, gamma = 0) at time tau."""
+    return make_sss(j, tau)
 
 
 @dataclass(frozen=True)
@@ -198,7 +192,7 @@ def _golden_section(f, a, b, tol, sign):
 def _scan_basis(j, tau_min, tau_max, n_grid):
     """Read-only (lam, modes, taus, phases) shared by the metrics of one spin, window
     and grid: psi(tau) = modes @ exp(-i lam tau), phases[:, k] = exp(-i lam taus[k])."""
-    eig, coeffs = _twist_spectrum(j, DEFAULT_PROTOCOL.chi, DEFAULT_PROTOCOL.gamma)
+    eig, coeffs = _twist_spectrum(j, 1.0, 0.0)
     modes = np.zeros((spin_dimension(j), len(coeffs)), dtype=complex)
     modes[0::2] = eig.phase[:, None] * eig.vectors * coeffs  # column k: mode k's share of |J,J>
     taus = np.linspace(tau_min, tau_max, n_grid)

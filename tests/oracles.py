@@ -4,8 +4,8 @@ Both take any generator on its whole dense matrix, with the argument checks
 and the norm check of ``tactsim.dynamics.evolve_many``; the tests
 cross-check the propagator against them:
 
-* ``dense_expm_evolve``: scaling-and-squaring (scipy; Moler & Van Loan,
-  SIAM Rev. 45, 3 (2003)).
+* ``dense_expm_evolve``: scaling-and-squaring on the complex matrix (scipy;
+  Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
 * ``krylov_evolve``: Lanczos exponential action (Hochbruck & Lubich,
   SINUM 34, 1911 (1997)) with full reorthogonalization and adaptive
   substepping, its substep error controlled through the residual estimate
@@ -108,9 +108,11 @@ def _oracle_evolve(state, generator, tau, action) -> SpinState:
 
 
 def dense_expm_evolve(state: SpinState, generator: BandedOperator, tau) -> SpinState:
-    """Oracle: exp(G*tau) applied to the state by scaling-and-squaring."""
+    """Oracle: exp(G*tau) applied to the state by scaling-and-squaring, always on
+    the complex matrix: scipy 1.17's expm of the real twisting generator is up to
+    1.4e-11 off at J = 200 (tau = default_tau_max), its complex route 1.2e-13."""
     return _oracle_evolve(state, generator, tau,
-                          lambda g, v, t: scipy.linalg.expm(g * t) @ v)
+                          lambda g, v, t: scipy.linalg.expm(g.astype(complex) * t) @ v)
 
 
 def krylov_evolve(state: SpinState, generator: BandedOperator, tau) -> SpinState:

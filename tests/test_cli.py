@@ -84,6 +84,20 @@ def test_flag_the_kind_does_not_read_fails_by_name(runner, tmp_path, command, ki
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("fmt, suffixes", [("json", [".json"]), ("csv", ["_prob.csv"]),
+                                          ("both", [".json", "_prob.csv"])])
+@pytest.mark.parametrize("args, prefix", [
+    (["state", "--kind", "ewss", "--j", "1"], "state_ewss_j1"),
+    (["evolve", "--j", "2", "--tau", "0.3"], "evolved_j2_tau0.3"),
+], ids=["state", "evolve"])
+def test_format_selects_the_files_written(runner, tmp_path, args, prefix, fmt, suffixes):
+    result = runner.invoke(main, args + ["--format", fmt, "--out", str(tmp_path)])
+    assert result.exit_code == 0
+    expect = [tmp_path / (prefix + suffix) for suffix in suffixes]
+    assert sorted(tmp_path.iterdir()) == sorted(expect)
+    assert result.output.split() == [str(path) for path in expect]
+
+
 class TestQpdCommand:
     def test_pole_state_peaks_at_north_pole(self, runner, tmp_path):
         result = runner.invoke(main, ["qpd", "--j", "5", "--kind", "css",
@@ -314,6 +328,26 @@ class TestConfigPrecedence:
         assert f"{cfg}:2: bad {key} value" in result.output
         assert not (tmp_path / "out").exists()
 
+
+    @pytest.mark.parametrize("args", [
+        ["state", "--kind", "ewss", "--j", "1"],
+        ["qpd", "--j", "1", "--kind", "ewss", "--grid", "4x3"],
+        ["evolve", "--j", "2", "--tau", "0.1"],
+        ["scan", "--j", "2", "--metric", "fid_ewss", "--grid", "16"],
+        ["reproduce-paper", "--j-list", "2,3,4", "--grid", "16"],
+    ], ids=lambda args: args[0])
+    def test_out_that_cannot_be_a_directory_fails_by_source(self, runner, tmp_path, args):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# out below\nout = {blocker}\n")
+        for options, where in ((["--config", str(cfg)] + args, f"{cfg}:2"),
+                               (args + ["--out", str(blocker / "sub")], "--out")):
+            result = runner.invoke(main, options)
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)  # no traceback
+            assert f"{where}: bad out value " in result.output
+        assert sorted(tmp_path.iterdir()) == [blocker, cfg]
 
     def test_one_file_sets_the_qpd_and_the_scan_grid(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,7 +1,7 @@
 """The README's "File formats" section against the files the CLI writes and
 the tables they are written from, so the documented columns cannot drift;
-and the private names the package's docstrings and comments cite against
-the package itself."""
+and the private names the package's docstrings and comments, and the
+README, cite against the package itself."""
 
 import importlib
 import json
@@ -81,13 +81,20 @@ def test_documented_families():
     assert list(fit_family.type.choices) == list(FAMILY_NAMES)
 
 
+def _cited(path, pattern):
+    return [(f"{path.name}:{line_no}", name)
+            for line_no, line in enumerate(path.read_text().splitlines(), 1)
+            for name in re.findall(pattern, line)]
+
+
 def test_cited_private_names_exist():
-    # double backticks mark names only in docstrings and comments, never in code
+    # double backticks mark names only in docstrings and comments, never in code;
+    # README.md cites them in single backticks
     modules = [importlib.import_module(f"tactsim.{info.name}")
                for info in pkgutil.iter_modules(tactsim.__path__)]
-    dangling = [f"{path.name}:{line_no}: {name}"
-                for path in sorted(Path(tactsim.__file__).parent.glob("*.py"))
-                for line_no, line in enumerate(path.read_text().splitlines(), 1)
-                for name in re.findall(r"``(_\w+)``", line)
+    cited = [cite for path in sorted(Path(tactsim.__file__).parent.glob("*.py"))
+             for cite in _cited(path, r"``(_\w+)``")]
+    cited += _cited(README, r"(?<!`)`(_\w+)`(?!`)")
+    dangling = [f"{where}: {name}" for where, name in cited
                 if not any(hasattr(module, name) for module in modules)]
     assert dangling == []

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
@@ -15,7 +15,6 @@ from oracles import dense_expm_evolve, krylov_evolve
 from tactsim import dynamics
 from tactsim.dynamics import (
     PropagationError,
-    TwistProtocol,
     _matvec,
     _quarter_turn,
     _quarter_turn_t,
@@ -27,15 +26,17 @@ from tactsim.dynamics import (
 )
 from tactsim.observables import spin_moments
 from tactsim.operators import (
-    SKEW_HERMITIAN,
     BandedOperator,
     build_operator,
     ladder_coefficients,
     m_values,
 )
 from tactsim.reference import default_tau_max
-from tactsim.states import CoherentSpinParams, basis_state, make_css, make_twin_fock
+from tactsim.states import CoherentSpinParams, SpinState, basis_state, make_css, make_twin_fock
 
+# drawn examples of the random-state oracle test: at J ~ 200 and chi ~ 10 the Krylov
+# oracle alone takes ~3 s, so a third example can take the test past 5 s
+MAX_EXAMPLES = 2
 ORACLES = pytest.mark.parametrize("oracle", [dense_expm_evolve, krylov_evolve],
                                   ids=["dense", "krylov"])
 
@@ -156,6 +157,28 @@ class TestSpectralDefault:
                 oracle = oracle_evolve(start, g, tau).amplitudes
                 assert np.max(np.abs(auto - oracle)) <= 1e-12
 
+    @settings(max_examples=MAX_EXAMPLES, deadline=None, derandomize=True, database=None)
+    @given(two_j=st.integers(1, 400), empty=st.sampled_from([None, 0, 1]),
+           seed=st.integers(0, 2**32 - 1), chi=st.floats(0.1, 10.0),
+           gamma=st.floats(-math.pi, math.pi), fraction=st.floats(0.0, 1.0))
+    @example(two_j=1, empty=None, seed=0, chi=1.0, gamma=0.0, fraction=1.0)
+    @example(two_j=400, empty=None, seed=0, chi=1.0, gamma=0.0, fraction=1.0)
+    def test_evolve_many_matches_oracles_on_random_states(self, two_j, empty, seed, chi,
+                                                          gamma, fraction):
+        # a random complex state in both parity sectors or one (empty: the sector
+        # left zero); any twisting generator passes evolve_many's symmetry check
+        j = two_j / 2
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=two_j + 1) + 1j * rng.normal(size=two_j + 1)
+        if empty is not None:
+            v[empty::2] = 0.0
+        start = SpinState(j, v / np.linalg.norm(v))
+        g = tact_generator(j, chi, gamma)
+        tau = fraction * default_tau_max(j)
+        got = evolve_many(start, g, [tau])[:, 0]
+        for oracle_evolve in (dense_expm_evolve, krylov_evolve):
+            assert np.max(np.abs(got - oracle_evolve(start, g, tau).amplitudes)) <= 1e-12
+
     def test_general_start_state_matches_dense(self):
         j = 10
         g = tact_generator(j, chi=0.7, gamma=0.9)
@@ -206,13 +229,13 @@ class TestSpectralDefault:
 def _minus_i_jx(j):
     """G = -i Jx: skew-hermitian, but it couples the two M-parity sectors."""
     half = -0.5j * ladder_coefficients(j)
-    return BandedOperator(j, {1: half, -1: half}, SKEW_HERMITIAN)
+    return BandedOperator(j, {1: half, -1: half})
 
 
 def _twist_minus_i_jz2(j):
     """The TACT generator plus -i Jz^2: parity preserving, with a diagonal band."""
     g = tact_generator(j)
-    return BandedOperator(j, {**g.bands, 0: -1j * m_values(j) ** 2}, SKEW_HERMITIAN)
+    return BandedOperator(j, {**g.bands, 0: -1j * m_values(j) ** 2})
 
 
 class TestAutoBoundary:
@@ -309,7 +332,7 @@ class TestEvolveMany:
             return tact_generator(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "tact_generator", counted)
-        dynamics._shared_generator.cache_clear()
+        dynamics._twist_spectrum.cache_clear()
         for tau in (0.01, 0.02, 0.03):
             make_sss(7, tau)
         assert len(built) == 1
@@ -330,8 +353,6 @@ class TestRotate:
     def test_nan_axis_rejected_by_name(self, axis):
         with pytest.raises(ValueError, match="normalized"):
             rotate(basis_state(2, 2), axis, 0.5)
-        with pytest.raises(ValueError, match="normalized"):
-            TwistProtocol(rotation_axis=axis)
 
     def test_axis_length_scales_the_angle(self):
         # exp(-i angle n.J) for an accepted axis 9e-13 longer than unit
@@ -567,11 +588,10 @@ class TestMakeSSS:
     @pytest.mark.parametrize("gamma", [0.0, 0.3])
     def test_matches_propagating_basis_state(self, j, gamma):
         # the windowed modes against the full propagator on |J,J>, then the same rotation
-        protocol = TwistProtocol(gamma=gamma)
         gen = tact_generator(j, gamma=gamma)
         for fraction in (0.0, 0.3, 0.8):
             tau = fraction * default_tau_max(j)
-            got = make_sss(j, tau, protocol)
+            got = make_sss(j, tau, gamma=gamma)
             expect = rotate(evolve(basis_state(j, j), gen, tau), "y", math.pi / 2)
             assert got.j == expect.j
             assert np.max(np.abs(got.amplitudes - expect.amplitudes)) <= 1e-13
@@ -598,11 +618,11 @@ class TestMakeSSS:
 
 class TestConfigValidation:
     def test_protocol_validation(self):
-        with pytest.raises(ValueError, match="chi"):
-            TwistProtocol(chi=0.0)
+        with pytest.raises(ValueError, match="chi must be positive and finite"):
+            make_sss(5, 0.1, chi=0.0)
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            make_sss(5, 0.1, gamma=math.nan)
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            tact_generator(5, gamma=math.inf)
         with pytest.raises(ValueError, match="tau"):
             make_sss(5, -1.0)
-        with pytest.raises(ValueError, match="normalized"):
-            TwistProtocol(rotation_axis=(1.0, 1.0, 0.0))
-        with pytest.raises(ValueError, match="axis label"):
-            TwistProtocol(rotation_axis="w")

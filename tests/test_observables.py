@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tactsim import dynamics, observables
-from tactsim.dynamics import TwistProtocol, make_sss, rotate
+from tactsim.dynamics import make_sss, rotate
 from tactsim.observables import (
     FieldEstimationParams,
     QpdGrid,
@@ -116,8 +116,8 @@ _DIRECT_CASES = [
     ("css-j30-nphi13-folded", lambda: make_css(30, CoherentSpinParams(2.0, 0.9)), 13, True),
     ("css-j10-nphi2", lambda: make_css(10, CoherentSpinParams(0.4, 2.0)), 2, True),
     ("css-j180-nphi360-folded", lambda: make_css(180, CoherentSpinParams(1.3, 1.2)), 360, True),
-    ("sss-gamma-j10-nphi13", lambda: make_sss(10, 0.05, TwistProtocol(gamma=0.3)), 13, True),
-    ("sss-gamma-j180-nphi360", lambda: make_sss(180, 0.003, TwistProtocol(gamma=0.3)), 360, True),
+    ("sss-gamma-j10-nphi13", lambda: make_sss(10, 0.05, gamma=0.3), 13, True),
+    ("sss-gamma-j180-nphi360", lambda: make_sss(180, 0.003, gamma=0.3), 360, True),
 ]
 
 
@@ -288,7 +288,7 @@ class TestQpd:
     def test_route_by_symmetry(self, monkeypatch, n_theta):
         states = [make_sss(12, 0.05), make_ewss(12),  # real and a_-M = a_M: half
                   make_css(12, CoherentSpinParams(alpha=0.0, beta=math.pi / 3)),
-                  make_sss(12, 0.05, TwistProtocol(gamma=0.3))]
+                  make_sss(12, 0.05, gamma=0.3)]
         widths = self._fft_widths(monkeypatch)
         grids = [qpd(state, n_phi=16, n_theta=n_theta) for state in states]
         half = (n_theta + 1) // 2

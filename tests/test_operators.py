@@ -1,10 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from tactsim.dynamics import tact_generator
 from tactsim.operators import (
-    GENERAL,
-    HERMITIAN,
-    SKEW_HERMITIAN,
     BandedOperator,
     build_operator,
     m_values,
@@ -45,7 +45,7 @@ def test_quadrupole_matches_dense_ladder_square():
     minus = dense(j, "Jminus")
     expected = plus @ plus - minus @ minus
     op = build_operator(j, "Jplus2_minus_Jminus2")
-    assert op.hermiticity_tag == SKEW_HERMITIAN
+    assert op.is_symmetric(-1)
     assert np.allclose(op.to_dense(), expected, atol=1e-12)
 
 
@@ -57,19 +57,27 @@ def test_apply_matches_dense_matvec():
         assert np.allclose(op.apply(vec), op.to_dense() @ vec, atol=1e-13)
 
 
-def test_hermiticity_tag_enforced():
-    with pytest.raises(ValueError, match="violate"):
-        BandedOperator(1, {1: np.array([1.0, 0.0]), -1: np.array([2.0, 0.0])},
-                       HERMITIAN)
-    # the same bands are fine without a symmetry claim
-    BandedOperator(1, {1: np.array([1.0, 0.0]), -1: np.array([2.0, 0.0])}, GENERAL)
+def test_symmetry_is_computed_from_the_bands():
+    for j in (0.5, 1, 2.5, 40):
+        for kind in ("Jx", "Jy", "Jz"):
+            op = build_operator(j, kind)
+            assert op.is_symmetric(1) and not op.is_symmetric(-1)
+        assert build_operator(j, "Jplus2_minus_Jminus2").is_symmetric(-1)
+        for chi, gamma in ((1.0, 0.0), (0.7, 0.9), (3.0, -2.5)):
+            assert tact_generator(j, chi, gamma).is_symmetric(-1)
+    # an absolute tolerance of 1e-14 per element, and NaN is never symmetric
+    band = np.array([1.0, 0.0])
+    assert BandedOperator(1, {1: band, -1: band + 1e-15}).is_symmetric(1)
+    assert not BandedOperator(1, {1: band, -1: band + 1e-13}).is_symmetric(1)
+    assert not BandedOperator(1, {1: band, -1: 2 * band}).is_symmetric(1)
+    assert not BandedOperator(1, {0: np.array([math.nan, 0.0, 0.0])}).is_symmetric(1)
 
 
 def test_band_shape_validated():
     with pytest.raises(ValueError, match="length"):
-        BandedOperator(1, {1: np.array([1.0, 2.0, 3.0])}, GENERAL)
+        BandedOperator(1, {1: np.array([1.0, 2.0, 3.0])})
     with pytest.raises(ValueError, match="bandwidth"):
-        BandedOperator(2, {3: np.zeros(2)}, GENERAL)
+        BandedOperator(2, {3: np.zeros(2)})
 
 
 def test_unknown_kind_rejected():
@@ -90,6 +98,7 @@ def test_non_finite_spin_rejected_by_name(j):
         validate_spin(j)
 
 
-def test_ladder_tag_is_general():
-    assert build_operator(2, "Jplus").hermiticity_tag == GENERAL
-    assert build_operator(2, "Jminus").hermiticity_tag == GENERAL
+def test_ladders_are_neither_hermitian_nor_skew_hermitian():
+    for kind in ("Jplus", "Jminus"):
+        op = build_operator(2, kind)
+        assert not op.is_symmetric(1) and not op.is_symmetric(-1)
