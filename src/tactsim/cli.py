@@ -2,7 +2,9 @@
 
 Subcommands: state, qpd, evolve, scan, fit, reproduce-paper.  Every
 command writes its results as JSON and/or CSV files under --out; numeric
-CSV output uses 17 significant digits so reports are diff-stable.
+CSV output uses 17 significant digits so reports are diff-stable.  Every
+JSON file comes from the one key table ``_JSON_KEYS`` and is strict JSON:
+a non-finite number is written as null.  --out is resolved before any work.
 
 Option precedence: command-line flags override the --config file, which
 overrides built-in defaults.  The config file is flat ``key = value``
@@ -15,16 +17,18 @@ value that does not convert fails naming path:line.  A number list
 import json
 import math
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import click
+import numpy as np
 from click.core import ParameterSource
 
 from .dynamics import PropagationError, evolve, make_sss, tact_generator
-from .fitting import FAMILY_NAMES, FitError, fit
-from .observables import prob_distribution, qpd
-from .reproduce import SERIES_COLUMNS, run_reproduction
-from .scan import METRICS, ScanSpec, scan_tau
+from .fitting import FAMILY_NAMES, FitError, FitResult, fit
+from .observables import QpdGrid, prob_distribution, qpd
+from .reproduce import SERIES_COLUMNS, FitRow, ReproductionReport, run_reproduction
+from .scan import METRICS, ScanResult, ScanSpec, SweepRow, scan_tau
 from .states import (
     CoherentSpinParams,
     SpinState,
@@ -49,6 +53,33 @@ _FORMATS = ("json", "csv", "both")
 # config key -> the values it accepts (None: any, converted where it is used)
 _CONFIG_KEYS = {"format": _FORMATS, "out": None, "qpd-grid": None, "scan-grid": None}
 
+# record type -> {JSON key: attribute name, or a function of the record}, in file
+# order; a type with no entry (SpinState, ScanSpec, Check) writes all of its fields
+_JSON_KEYS = {
+    QpdGrid: {"j": "j", "n_phi": "n_phi", "n_theta": "n_theta", "phi": "phis",
+              "theta": "thetas", "values": "values"},
+    ScanResult: {key: key for key in ("spec", "grid_taus", "grid_values", "tau_star",
+                                      "value_star")},  # not the state
+    FitResult: {"family": lambda r: r.model.family,
+                "params": lambda r: dict(zip(r.model.param_names, r.model.params)),
+                "param_se": lambda r: dict(zip(r.model.param_names, r.param_se)),
+                **{key: key for key in ("rss", "n_points", "iterations", "converged")}},
+    SweepRow: {**{key: key for key in ("j", "metric", "tau_star", "value_star", "grid_size")},
+               "tol": "refine_tol", "status": "status", "error": "error"},  # not the result
+    FitRow: {"key": "key", "family": "family", "published_params": "published",
+             "stated_range": "stated_range", "fitted_range": "j_range", "status": "status",
+             "fit": "fitted",
+             "relative_deviation": lambda r: r.deviation if r.fitted else None,
+             "error": "error"},
+    ReproductionReport: {"j_list": "j_list", "sweep": "sweep_rows", "series": "series",
+                         "fits": "fit_rows", "checks": "checks", "notes": "notes",
+                         "all_passed": "all_passed"},
+}
+# sweep.csv: the sweep row's keys but its error, which goes to report.json and
+# report.txt; a scan CSV is one such row without its status
+_SWEEP_COLUMNS = tuple(key for key in _JSON_KEYS[SweepRow] if key != "error")
+_SCAN_COLUMNS = tuple(key for key in _SWEEP_COLUMNS if key != "status")
+
 
 def _fmt(x) -> str:
     """Full round-trip precision for CSV cells."""
@@ -64,10 +95,38 @@ def _write_csv(path: Path, header, rows):
             fh.write(",".join(_fmt(cell) for cell in row) + "\n")
 
 
+def _record(obj) -> dict:
+    """{JSON key: raw value} of a record, per ``_JSON_KEYS``; a None value is left out."""
+    keys = _JSON_KEYS.get(type(obj)) or {f.name: f.name for f in fields(obj)}
+    values = {key: source(obj) if callable(source) else getattr(obj, source)
+              for key, source in keys.items()}
+    return {key: value for key, value in values.items() if value is not None}
+
+
+def _jsonable(value):
+    """value with records as dicts, arrays as nested lists (a complex entry as
+    [re, im]) and a non-finite float as None."""
+    if is_dataclass(value):
+        value = _record(value)
+    if isinstance(value, dict):
+        return {key: _jsonable(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
+    if isinstance(value, np.ndarray):
+        if np.iscomplexobj(value):
+            value = np.stack([value.real, value.imag], axis=-1)
+        return np.where(np.isfinite(value), value, None).tolist()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _json_text(obj) -> str:
+    return json.dumps(_jsonable(obj), indent=2, allow_nan=False)
+
+
 def _write_json(path: Path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    path.write_text(_json_text(obj) + "\n")
 
 
 def _load_config(path):
@@ -173,7 +232,7 @@ def _emit_state(out: Path, prefix: str, state: SpinState, fmt: str):
     paths = []
     if fmt in ("json", "both"):
         path = out / f"{prefix}.json"
-        _write_json(path, state.to_json_dict())
+        _write_json(path, state)
         paths.append(path)
     if fmt in ("csv", "both"):
         prob = prob_distribution(state)
@@ -205,9 +264,10 @@ def state(settings, kind, j, alpha, beta, tau, chi, gamma, out, fmt):
     """Construct a named state; write its JSON record and P(M) CSV."""
     try:
         fmt = settings.get("format", fmt, "both")
+        out_path = _out_dir(settings, out)
         st = _build_state(kind, j, alpha=alpha, beta=beta, tau=tau, chi=chi, gamma=gamma)
         prefix = f"state_{kind}_j{j:g}" + (f"_tau{tau:g}" if kind == "sss" else "")
-        paths = _emit_state(_out_dir(settings, out), prefix, st, fmt)
+        paths = _emit_state(out_path, prefix, st, fmt)
     except (ValueError, PropagationError) as exc:
         _fail(exc)
     for path in paths:
@@ -230,6 +290,7 @@ def qpd_cmd(settings, j, kind, tau, alpha, beta, chi, gamma, grid, out):
     """Quasi-probability distribution of a state on the Bloch sphere."""
     try:
         n_phi, n_theta = settings.get("grid", grid, (360, 180), _parse_grid, key="qpd-grid")
+        out_path = _out_dir(settings, out)
         if kind is None and tau is None:
             raise ValueError("give --kind, or --tau for the squeezed state")
         if kind is None:
@@ -238,11 +299,10 @@ def qpd_cmd(settings, j, kind, tau, alpha, beta, chi, gamma, grid, out):
             tau = 0.0
         st = _build_state(kind, j, alpha=alpha, beta=beta, tau=tau, chi=chi, gamma=gamma)
         grid_result = qpd(st, n_phi=n_phi, n_theta=n_theta)
-        out_path = _out_dir(settings, out)
         prefix = f"qpd_{kind}_j{j:g}" + (f"_tau{tau:g}" if kind == "sss" else "")
         _write_csv(out_path / f"{prefix}.csv", ("phi", "theta", "value"),
                    grid_result.csv_rows())
-        _write_json(out_path / f"{prefix}.json", grid_result.to_json_dict())
+        _write_json(out_path / f"{prefix}.json", grid_result)
     except (ValueError, PropagationError) as exc:
         _fail(exc)
     click.echo(str(out_path / f"{prefix}.csv"))
@@ -261,10 +321,9 @@ def evolve_cmd(settings, j, tau, chi, gamma, out, fmt):
     """Evolve |J,J> under the twisting generator (no final rotation)."""
     try:
         fmt = settings.get("format", fmt, "both")
-        gen = tact_generator(j, chi=chi, gamma=gamma)
-        st = evolve(basis_state(j, j), gen, tau)
-        prefix = f"evolved_j{j:g}_tau{tau:g}"
-        paths = _emit_state(_out_dir(settings, out), prefix, st, fmt)
+        out_path = _out_dir(settings, out)
+        st = evolve(basis_state(j, j), tact_generator(j, chi=chi, gamma=gamma), tau)
+        paths = _emit_state(out_path, f"evolved_j{j:g}_tau{tau:g}", st, fmt)
     except (ValueError, PropagationError) as exc:
         _fail(exc)
     for path in paths:
@@ -284,6 +343,7 @@ def scan_cmd(settings, j, metric, tau_min, tau_max, grid, refine_tol, out):
     """Locate the evolution time optimizing one metric."""
     try:
         n_grid = settings.get("grid", grid, 512, int, key="scan-grid")
+        out_path = _out_dir(settings, out)
         base = ScanSpec.auto(j, metric, n_grid=n_grid)
         spec = ScanSpec(
             j=j, metric=metric,
@@ -293,13 +353,11 @@ def scan_cmd(settings, j, metric, tau_min, tau_max, grid, refine_tol, out):
             refine_tol=refine_tol if refine_tol is not None else base.refine_tol,
         )
         result = scan_tau(spec)
-        out_path = _out_dir(settings, out)
         prefix = f"scan_{metric}_j{j:g}"
-        _write_csv(out_path / f"{prefix}.csv",
-                   ("j", "metric", "tau_star", "value_star", "grid_size", "tol"),
-                   [(j, metric, result.tau_star, result.value_star,
-                     spec.n_grid, spec.refine_tol)])
-        _write_json(out_path / f"{prefix}.json", result.to_json_dict())
+        row = _record(SweepRow(j, metric, result.tau_star, result.value_star, spec.n_grid,
+                               spec.refine_tol, status="ok"))
+        _write_csv(out_path / f"{prefix}.csv", _SCAN_COLUMNS, [[row[c] for c in _SCAN_COLUMNS]])
+        _write_json(out_path / f"{prefix}.json", result)
     except (ValueError, PropagationError) as exc:
         _fail(exc)
     click.echo(f"tau_star = {result.tau_star!r}")
@@ -347,12 +405,12 @@ def fit_cmd(settings, family, data_path, init, out):
     try:
         rows = _read_pairs(data_path)
         init_params = settings.get("init", init, None, _parse_floats)
-        result = fit(family, rows, init=init_params)
         out_path = _out_dir(settings, out)
-        _write_json(out_path / f"fit_{family}.json", result.to_json_dict())
+        result = fit(family, rows, init=init_params)
+        _write_json(out_path / f"fit_{family}.json", result)
     except (ValueError, FitError) as exc:
         _fail(exc)
-    click.echo(json.dumps(result.to_json_dict(), indent=2))
+    click.echo(_json_text(result))
 
 
 @main.command(name="reproduce-paper")
@@ -367,12 +425,12 @@ def reproduce_cmd(settings, j_list, grid, out):
     try:
         n_grid = settings.get("grid", grid, 512, int, key="scan-grid")
         js = settings.get("j-list", j_list, None, _parse_floats)
-        report = run_reproduction(js, n_grid=n_grid)
         out_path = _out_dir(settings, out)
-        _write_json(out_path / "report.json", report.to_json_dict())
+        report = run_reproduction(js, n_grid=n_grid)
+        _write_json(out_path / "report.json", report)
         (out_path / "report.txt").write_text(report.to_text() + "\n")
-        sweep = [row.to_csv_dict() for row in report.sweep_rows]
-        _write_csv(out_path / "sweep.csv", sweep[0].keys(), [row.values() for row in sweep])
+        _write_csv(out_path / "sweep.csv", _SWEEP_COLUMNS,
+                   [[_record(row)[c] for c in _SWEEP_COLUMNS] for row in report.sweep_rows])
         _write_csv(out_path / "series.csv", SERIES_COLUMNS,
                    [[entry.get(col, math.nan) for col in SERIES_COLUMNS]
                     for entry in report.series])

@@ -45,12 +45,9 @@ class FitModel:
             raise ValueError("model parameters must be finite")
         object.__setattr__(self, "params", params)
 
-    def to_json_dict(self) -> dict:
-        spec = _family_spec(self.family)
-        return {
-            "family": self.family,
-            "params": dict(zip(spec.param_names, self.params)),
-        }
+    @property
+    def param_names(self) -> tuple:
+        return _family_spec(self.family).param_names
 
 
 @dataclass(frozen=True)
@@ -61,30 +58,6 @@ class FitResult:
     n_points: int
     iterations: int
     converged: bool
-
-    def to_json_dict(self) -> dict:
-        names = _family_spec(self.model.family).param_names
-        return {
-            **self.model.to_json_dict(),
-            "param_se": dict(zip(names, [None if math.isnan(s) else s for s in self.param_se])),
-            "rss": self.rss,
-            "n_points": self.n_points,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-
-    @classmethod
-    def from_json_dict(cls, record: dict) -> "FitResult":
-        spec = _family_spec(record["family"])
-        params = tuple(record["params"][name] for name in spec.param_names)
-        se = tuple(math.nan if record["param_se"][name] is None
-                   else float(record["param_se"][name])
-                   for name in spec.param_names)
-        return cls(model=FitModel(record["family"], params),
-                   rss=float(record["rss"]), param_se=se,
-                   n_points=int(record["n_points"]),
-                   iterations=int(record["iterations"]),
-                   converged=bool(record["converged"]))
 
 
 # --- model families ---------------------------------------------------

@@ -108,26 +108,6 @@ class QpdGrid:
         it = int(np.argmin(np.abs(self.thetas - theta)))
         return float(self.values[ip, it])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "n_phi": self.n_phi,
-            "n_theta": self.n_theta,
-            "phi": [float(p) for p in self.phis],
-            "theta": [float(t) for t in self.thetas],
-            "values": [[float(v) for v in row] for row in self.values],
-        }
-
-    @classmethod
-    def from_json_dict(cls, record: dict) -> "QpdGrid":
-        grid = cls(j=float(record["j"]),
-                   phis=np.asarray(record["phi"], dtype=float),
-                   thetas=np.asarray(record["theta"], dtype=float),
-                   values=np.asarray(record["values"], dtype=float))
-        if grid.n_phi != record["n_phi"] or grid.n_theta != record["n_theta"]:
-            raise ValueError("QPD metadata disagrees with the value matrix")
-        return grid
-
     def csv_rows(self):
         """Yield (phi, theta, value) in row-major phi-then-theta order."""
         for ip, phi in enumerate(self.phis):

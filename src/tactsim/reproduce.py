@@ -60,31 +60,12 @@ class FitRow:
     status: str = "ok"
     error: str = None
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "key": self.key,
-            "family": self.family,
-            "published_params": list(self.published),
-            "stated_range": self.stated_range,
-            "fitted_range": self.j_range,
-            "status": self.status,
-        }
-        if self.fitted is not None:
-            out["fit"] = self.fitted.to_json_dict()
-            out["relative_deviation"] = self.deviation
-        if self.error:
-            out["error"] = self.error
-        return out
-
 
 @dataclass
 class Check:
     name: str
     status: str  # "pass", "fail", or "skipped"
     detail: str
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "status": self.status, "detail": self.detail}
 
 
 @dataclass
@@ -102,19 +83,13 @@ class ReproductionReport:
             return False
         return not any(c.status == "fail" for c in self.checks)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "j_list": list(self.j_list),
-            "sweep": [row.to_csv_dict() for row in self.sweep_rows],
-            "series": self.series,
-            "fits": [row.to_json_dict() for row in self.fit_rows],
-            "checks": [c.to_json_dict() for c in self.checks],
-            "notes": self.notes,
-            "all_passed": self.all_passed,
-        }
-
     def to_text(self) -> str:
         lines = ["reproduction report", "===================", ""]
+        failed = [row for row in self.sweep_rows if row.status != "ok"]
+        if failed:
+            lines.append("failed scans:")
+            lines += [f"  J={row.j:g} {row.metric}: {row.error}" for row in failed]
+            lines.append("")
         lines.append("fitted scaling laws (fitted vs published, relative deviation):")
         for row in self.fit_rows:
             if row.fitted is None:
@@ -193,10 +168,10 @@ def _fit_all_laws(series, j_list):
                 raise FitError("needs at least 3 sweep points")
             result = fit(law.model.family, list(zip(jj, yy)))
             row.fitted = result
-            names = ("a", "b", "c")[: len(result.model.params)]
             row.deviation = {
                 name: (fitted - pub) / pub if pub != 0 else math.inf
-                for name, fitted, pub in zip(names, result.model.params, law.model.params)
+                for name, fitted, pub in zip(result.model.param_names, result.model.params,
+                                             law.model.params)
             }
         except (FitError, ValueError) as exc:
             row.status = "failed"

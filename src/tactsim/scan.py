@@ -22,7 +22,7 @@ max(1, J) raises PropagationError.
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
@@ -116,16 +116,6 @@ class ScanSpec:
         return cls(j=j, metric=metric, tau_min=0.0, tau_max=tau_max,
                    n_grid=n_grid, refine_tol=1e-6 * tau_max)
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, record: dict) -> "ScanSpec":
-        """Each float or str field converted to its type; n_grid is taken
-        as given, so a non-integral value fails instead of truncating."""
-        return cls(**{f.name: record[f.name] if f.type is int else f.type(record[f.name])
-                      for f in fields(cls)})
-
 
 @dataclass(frozen=True, eq=False)
 class ScanResult:
@@ -146,23 +136,6 @@ class ScanResult:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_json_dict(),
-            "grid_taus": [float(t) for t in self.grid_taus],
-            "grid_values": [float(v) for v in self.grid_values],
-            "tau_star": self.tau_star,
-            "value_star": self.value_star,
-        }
-
-    @classmethod
-    def from_json_dict(cls, record: dict) -> "ScanResult":
-        return cls(spec=ScanSpec.from_json_dict(record["spec"]),
-                   grid_taus=np.asarray(record["grid_taus"], dtype=float),
-                   grid_values=np.asarray(record["grid_values"], dtype=float),
-                   tau_star=float(record["tau_star"]),
-                   value_star=float(record["value_star"]))
 
 
 def _golden_section(f, a, b, tol, sign):
@@ -246,17 +219,6 @@ class SweepRow:
     status: str  # "ok" or "failed"
     error: str = None
     result: ScanResult = None
-
-    def to_csv_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "metric": self.metric,
-            "tau_star": self.tau_star,
-            "value_star": self.value_star,
-            "grid_size": self.grid_size,
-            "tol": self.refine_tol,
-            "status": self.status,
-        }
 
 
 def _run_row(j, metric, n_grid) -> SweepRow:

@@ -77,19 +77,6 @@ class SpinState:
     def m_values(self) -> np.ndarray:
         return m_values(self.j)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
-        }
-
-    @classmethod
-    def from_json_dict(cls, record: dict) -> "SpinState":
-        amps = np.array(
-            [complex(re, im) for re, im in record["amplitudes"]], dtype=complex
-        )
-        return cls(j=float(record["j"]), amplitudes=amps)
-
 
 def _normalized(j, amps) -> SpinState:
     amps = np.asarray(amps, dtype=complex)

@@ -6,13 +6,24 @@ import pytest
 from click.testing import CliRunner
 from scipy.special import gammaln
 
+from tactsim import cli, scan
 from tactsim.cli import main
+from tactsim.dynamics import PropagationError
+from tactsim.fitting import FitModel
+from tactsim.observables import QpdGrid
+from tactsim.scan import ScanResult, ScanSpec
 from tactsim.states import SpinState
 
 
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def read_state(path):
+    """The SpinState of a state JSON file, rebuilt (and re-validated) by its constructor."""
+    record = json.loads(path.read_text())
+    return SpinState(record["j"], np.array(record["amplitudes"]) @ (1, 1j))
 
 
 def read_csv(path):
@@ -38,8 +49,7 @@ class TestStateCommand:
         result = runner.invoke(main, ["state", "--kind", "cat", "--j", "3",
                                       "--out", str(tmp_path)])
         assert result.exit_code == 0
-        record = json.loads((tmp_path / "state_cat_j3.json").read_text())
-        state = SpinState.from_json_dict(record)
+        state = read_state(tmp_path / "state_cat_j3.json")
         assert state.j == 3
 
     def test_squeezed_state_oscillates_near_edge(self, runner, tmp_path):
@@ -167,8 +177,7 @@ class TestEvolveCommand:
         result = runner.invoke(main, ["evolve", "--j", "2", "--tau", "0.3",
                                       "--out", str(tmp_path)])
         assert result.exit_code == 0
-        record = json.loads((tmp_path / "evolved_j2_tau0.3.json").read_text())
-        state = SpinState.from_json_dict(record)  # re-validates the norm
+        state = read_state(tmp_path / "evolved_j2_tau0.3.json")  # re-validates the norm
         assert state.dim == 5
 
 
@@ -386,27 +395,23 @@ class TestConfigPrecedence:
 
 class TestRoundTrips:
     def test_every_output_kind_regenerates_validated_objects(self, runner, tmp_path):
-        from tactsim.fitting import FitResult
-        from tactsim.observables import QpdGrid
-        from tactsim.scan import ScanResult
-
         assert runner.invoke(main, ["state", "--kind", "sss", "--j", "4",
                                     "--tau", "0.1", "--out", str(tmp_path)]
                              ).exit_code == 0
-        record = json.loads((tmp_path / "state_sss_j4_tau0.1.json").read_text())
-        SpinState.from_json_dict(record)
+        read_state(tmp_path / "state_sss_j4_tau0.1.json")
 
         assert runner.invoke(main, ["qpd", "--j", "2", "--kind", "cat",
                                     "--grid", "8x5", "--out", str(tmp_path)]
                              ).exit_code == 0
-        QpdGrid.from_json_dict(
-            json.loads((tmp_path / "qpd_cat_j2.json").read_text()))
+        record = json.loads((tmp_path / "qpd_cat_j2.json").read_text())
+        grid = QpdGrid(record["j"], record["phi"], record["theta"], record["values"])
+        assert (grid.n_phi, grid.n_theta) == (record["n_phi"], record["n_theta"]) == (8, 5)
 
         assert runner.invoke(main, ["scan", "--j", "2", "--metric", "var_z_max",
                                     "--grid", "32", "--out", str(tmp_path)]
                              ).exit_code == 0
-        ScanResult.from_json_dict(
-            json.loads((tmp_path / "scan_var_z_max_j2.json").read_text()))
+        record = json.loads((tmp_path / "scan_var_z_max_j2.json").read_text())
+        ScanResult(spec=ScanSpec(**record.pop("spec")), **record)
 
         data = tmp_path / "fitdata.csv"
         data.write_text("\n".join(f"{j},{0.4 * (j + 1.0)}"
@@ -414,8 +419,10 @@ class TestRoundTrips:
         assert runner.invoke(main, ["fit", "--family", "shifted_power",
                                     "--data", str(data), "--out", str(tmp_path)]
                              ).exit_code == 0
-        FitResult.from_json_dict(
-            json.loads((tmp_path / "fit_shifted_power.json").read_text()))
+        record = json.loads((tmp_path / "fit_shifted_power.json").read_text())
+        model = FitModel(record["family"], record["params"].values())
+        assert list(record["params"]) == list(model.param_names) == list(record["param_se"])
+        assert all(se >= 0 for se in record["param_se"].values())
 
 
 class TestReproduceCommand:
@@ -472,3 +479,60 @@ class TestReproduceCommand:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert "finite" in result.output
+
+    def test_failed_scan_is_written_as_strict_json_with_its_error(self, runner, tmp_path,
+                                                                 monkeypatch):
+        real_scan = scan.scan_tau
+
+        def scan_failing_at_j10_fid_tfs(spec):
+            if (spec.j, spec.metric) == (10, "fid_tfs"):
+                raise PropagationError("injected")
+            return real_scan(spec)
+
+        monkeypatch.setattr(scan, "scan_tau", scan_failing_at_j10_fid_tfs)
+        result = runner.invoke(main, ["reproduce-paper", "--j-list", "5,10,20,50",
+                                      "--grid", "128", "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+
+        def no_constants(name):
+            raise AssertionError(f"report.json holds {name}")
+
+        report = json.loads((tmp_path / "report.json").read_text(),
+                            parse_constant=no_constants)
+        failed = [row for row in report["sweep"] if row["status"] == "failed"]
+        assert failed == [{"j": 10.0, "metric": "fid_tfs", "tau_star": None,
+                           "value_star": None, "grid_size": 128, "tol": None,
+                           "status": "failed", "error": "PropagationError: injected"}]
+        assert all("error" not in row for row in report["sweep"] if row["status"] == "ok")
+        assert "  J=10 fid_tfs: PropagationError: injected" in (
+            tmp_path / "report.txt").read_text().splitlines()
+        header, rows = read_csv(tmp_path / "sweep.csv")
+        assert header == ["j", "metric", "tau_star", "value_star", "grid_size", "tol",
+                          "status"]
+        assert [row for row in rows if row[1] == "fid_tfs" and row[0] == "10"] == [
+            ["10", "fid_tfs", "nan", "nan", "128", "nan", "failed"]]
+
+
+class TestOutIsResolvedFirst:
+    @pytest.mark.parametrize("args,work", [
+        (["state", "--kind", "ewss", "--j", "1"], "_build_state"),
+        (["evolve", "--j", "2", "--tau", "0.1"], "evolve"),
+        (["qpd", "--j", "1", "--kind", "ewss"], "qpd"),
+        (["scan", "--j", "2", "--metric", "fid_ewss"], "scan_tau"),
+        (["fit", "--family", "shifted_power"], "fit"),
+        (["reproduce-paper", "--j-list", "5,10,20,50"], "run_reproduction"),
+    ], ids=lambda value: value[0] if isinstance(value, list) else None)
+    def test_bad_out_fails_before_the_work(self, runner, tmp_path, monkeypatch, args, work):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --out was checked")
+
+        monkeypatch.setattr(cli, work, never)
+        data = tmp_path / "data.csv"
+        data.write_text("10,6.0\n20,11.0\n30,16.0\n")
+        if args[0] == "fit":
+            args = args + ["--data", str(data)]
+        result = runner.invoke(main, args + ["--out", str(data / "sub")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # never ran, no traceback
+        assert "--out: bad out value " in result.output

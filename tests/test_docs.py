@@ -13,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import tactsim
+from tactsim import cli
 from tactsim.cli import main
 from tactsim.fitting import FAMILY_NAMES
 from tactsim.reproduce import SERIES_COLUMNS
@@ -37,10 +38,13 @@ DOCUMENTED, DOCUMENTED_FAMILIES = _file_formats()
 def written(tmp_path_factory):
     """{file label: the header (or top-level keys) of the file the CLI wrote}."""
     out = tmp_path_factory.mktemp("formats")
+    data = out / "fit_data.csv"
+    data.write_text("".join(f"{j},{0.4 * (j + 1.0)}\n" for j in range(5, 50, 5)))
     runner = CliRunner()
     for args in (["state", "--kind", "ewss", "--j", "1"],
                  ["qpd", "--j", "1", "--kind", "ewss", "--grid", "4x3"],
                  ["scan", "--j", "2", "--metric", "fid_tfs", "--grid", "32"],
+                 ["fit", "--family", "shifted_power", "--data", str(data)],
                  ["reproduce-paper", "--j-list", "2,3,4", "--grid", "32"]):
         runner.invoke(main, args + ["--out", str(out)], catch_exceptions=False)
     files = {"probability CSV": "state_ewss_j1_prob.csv", "QPD CSV": "qpd_ewss_j1.csv",
@@ -48,7 +52,11 @@ def written(tmp_path_factory):
              "series.csv": "series.csv", "fit_comparison.csv": "fit_comparison.csv"}
     headers = {label: (out / name).read_text().splitlines()[0].split(",")
                for label, name in files.items()}
-    headers["report.json"] = list(json.loads((out / "report.json").read_text()))
+    records = {"state JSON": "state_ewss_j1.json", "QPD JSON": "qpd_ewss_j1.json",
+               "scan JSON": "scan_fid_tfs_j2.json", "fit JSON": "fit_shifted_power.json",
+               "report.json": "report.json"}
+    headers.update({label: list(json.loads((out / name).read_text()))
+                    for label, name in records.items()})
     return headers
 
 
@@ -65,14 +73,18 @@ def test_series_columns_are_the_one_table():
     assert DOCUMENTED["series.csv"] == list(SERIES_COLUMNS)
 
 
-def test_sweep_columns_come_from_the_sweep_row():
-    row = SweepRow(j=1.0, metric="fid_ewss", tau_star=0.0, value_star=0.0,
+_OK_ROW = SweepRow(j=1.0, metric="fid_ewss", tau_star=0.0, value_star=0.0,
                    grid_size=8, refine_tol=0.0, status="ok")
-    assert DOCUMENTED["sweep.csv"] == list(row.to_csv_dict())
+
+
+def test_sweep_columns_come_from_the_sweep_row():
+    assert DOCUMENTED["sweep.csv"] == list(cli._record(_OK_ROW)) == list(cli._SWEEP_COLUMNS)
 
 
 def test_scan_columns_are_the_sweep_columns_without_status():
     assert DOCUMENTED["scan CSV"] + ["status"] == DOCUMENTED["sweep.csv"]
+    assert DOCUMENTED["scan CSV"] == [key for key in cli._record(_OK_ROW) if key != "status"]
+    assert DOCUMENTED["scan CSV"] == list(cli._SCAN_COLUMNS)
 
 
 def test_documented_families():

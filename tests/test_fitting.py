@@ -1,9 +1,11 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from tactsim import cli
 from tactsim.fitting import FitError, FitModel, evaluate, fit
 
 JS = np.arange(10.0, 101.0, 10.0)
@@ -180,9 +182,9 @@ class TestDiagnostics:
 
     def test_result_serializes(self):
         res = fit("log_over_linear", model_data("log_over_linear", (2.0, 4.0)))
-        record = res.to_json_dict()
+        record = json.loads(cli._json_text(res))
         assert record["family"] == "log_over_linear"
-        assert set(record["params"]) == {"a", "b"}
+        assert set(record["params"]) == set(record["param_se"]) == {"a", "b"}
         assert record["converged"] is True
 
 

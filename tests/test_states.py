@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -7,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tactsim import cli
 from tactsim.dynamics import rotate
 from tactsim.observables import prob_distribution, spin_moments
 from tactsim.operators import build_operator
@@ -225,19 +227,24 @@ class TestSpinStateInvariants:
             s.amplitudes[0] = 0.0
 
 
+def _from_record(record) -> SpinState:
+    """The state of a state JSON record, through the validating constructor."""
+    return SpinState(record["j"], np.array(record["amplitudes"]) @ (1, 1j))
+
+
 class TestSerialization:
     def test_round_trip(self):
         s = make_css(3, CoherentSpinParams(alpha=0.7, beta=1.1))
-        back = SpinState.from_json_dict(s.to_json_dict())
+        back = _from_record(json.loads(cli._json_text(s)))
         assert back.j == s.j
         assert np.allclose(back.amplitudes, s.amplitudes, atol=1e-16)
 
     def test_round_trip_preserves_real_flag(self):
-        back = SpinState.from_json_dict(make_ewss(2).to_json_dict())
+        back = _from_record(json.loads(cli._json_text(make_ewss(2))))
         assert back.real_flag
 
     def test_corrupted_record_rejected(self):
-        record = make_ewss(1).to_json_dict()
+        record = json.loads(cli._json_text(make_ewss(1)))
         record["amplitudes"][0] = [0.9, 0.0]
         with pytest.raises(ValueError, match="norm"):
-            SpinState.from_json_dict(record)
+            _from_record(record)
