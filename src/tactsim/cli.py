@@ -11,9 +11,12 @@ overrides built-in defaults.  The config file is flat ``key = value``
 text; keys match option names (format, out, qpd-grid and scan-grid for
 the two meanings of --grid), and an unknown key, the old key grid, or a
 value that does not convert fails naming path:line.  A number list
-(--j-list, --init) that does not convert fails naming its option.
+(--j-list, --init) that does not convert or holds a non-finite entry fails
+naming its option.  Any command's ValueError or PropagationError ends as
+``error: ...`` on stderr and exit code 1 (``_Group``).
 """
 
+import dataclasses
 import json
 import math
 import sys
@@ -25,7 +28,7 @@ import numpy as np
 from click.core import ParameterSource
 
 from .dynamics import PropagationError, evolve, make_sss, tact_generator
-from .fitting import FAMILY_NAMES, FitError, FitResult, fit
+from .fitting import FAMILY_NAMES, FitResult, fit
 from .observables import QpdGrid, prob_distribution, qpd
 from .reproduce import SERIES_COLUMNS, FitRow, ReproductionReport, run_reproduction
 from .scan import METRICS, ScanResult, ScanSpec, SweepRow, scan_tau
@@ -165,7 +168,10 @@ def _parse_grid(grid):
 
 
 def _parse_floats(text):
-    return [float(part) for part in str(text).split(",")]
+    values = [float(part) for part in str(text).split(",")]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("numbers must be finite")
+    return values
 
 
 class _Settings:
@@ -194,7 +200,19 @@ _OUT_OPTION = click.option("--out", type=click.Path(file_okay=False), default=No
 _FORMAT_OPTION = click.option("--format", "fmt", type=click.Choice(_FORMATS), default=None)
 
 
-@click.group()
+class _Group(click.Group):
+    """The one error boundary: an input or propagation error from any command
+    prints ``error: ...`` to stderr and exits 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, PropagationError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Group)
 @click.option("--config", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Flat key=value settings file.")
 @click.pass_context
@@ -243,11 +261,6 @@ def _emit_state(out: Path, prefix: str, state: SpinState, fmt: str):
     return paths
 
 
-def _fail(exc):
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(1)
-
-
 @main.command()
 @click.option("--kind", type=click.Choice(STATE_KINDS), required=True)
 @click.option("--j", type=float, required=True)
@@ -262,15 +275,11 @@ def _fail(exc):
 @pass_settings
 def state(settings, kind, j, alpha, beta, tau, chi, gamma, out, fmt):
     """Construct a named state; write its JSON record and P(M) CSV."""
-    try:
-        fmt = settings.get("format", fmt, "both")
-        out_path = _out_dir(settings, out)
-        st = _build_state(kind, j, alpha=alpha, beta=beta, tau=tau, chi=chi, gamma=gamma)
-        prefix = f"state_{kind}_j{j:g}" + (f"_tau{tau:g}" if kind == "sss" else "")
-        paths = _emit_state(out_path, prefix, st, fmt)
-    except (ValueError, PropagationError) as exc:
-        _fail(exc)
-    for path in paths:
+    fmt = settings.get("format", fmt, "both")
+    out_path = _out_dir(settings, out)
+    st = _build_state(kind, j, alpha=alpha, beta=beta, tau=tau, chi=chi, gamma=gamma)
+    prefix = f"state_{kind}_j{j:g}" + (f"_tau{tau:g}" if kind == "sss" else "")
+    for path in _emit_state(out_path, prefix, st, fmt):
         click.echo(str(path))
 
 
@@ -288,23 +297,22 @@ def state(settings, kind, j, alpha, beta, tau, chi, gamma, out, fmt):
 @pass_settings
 def qpd_cmd(settings, j, kind, tau, alpha, beta, chi, gamma, grid, out):
     """Quasi-probability distribution of a state on the Bloch sphere."""
-    try:
-        n_phi, n_theta = settings.get("grid", grid, (360, 180), _parse_grid, key="qpd-grid")
-        out_path = _out_dir(settings, out)
-        if kind is None and tau is None:
-            raise ValueError("give --kind, or --tau for the squeezed state")
-        if kind is None:
-            kind = "sss"
-        if kind == "sss" and tau is None:
-            tau = 0.0
-        st = _build_state(kind, j, alpha=alpha, beta=beta, tau=tau, chi=chi, gamma=gamma)
-        grid_result = qpd(st, n_phi=n_phi, n_theta=n_theta)
-        prefix = f"qpd_{kind}_j{j:g}" + (f"_tau{tau:g}" if kind == "sss" else "")
-        _write_csv(out_path / f"{prefix}.csv", ("phi", "theta", "value"),
-                   grid_result.csv_rows())
-        _write_json(out_path / f"{prefix}.json", grid_result)
-    except (ValueError, PropagationError) as exc:
-        _fail(exc)
+    n_phi, n_theta = settings.get("grid", grid, (360, 180), _parse_grid, key="qpd-grid")
+    out_path = _out_dir(settings, out)
+    if kind is None and tau is None:
+        raise ValueError("give --kind, or --tau for the squeezed state")
+    if kind is None:
+        kind = "sss"
+    if kind == "sss" and tau is None:
+        tau = 0.0
+    st = _build_state(kind, j, alpha=alpha, beta=beta, tau=tau, chi=chi, gamma=gamma)
+    result = qpd(st, n_phi=n_phi, n_theta=n_theta)
+    prefix = f"qpd_{kind}_j{j:g}" + (f"_tau{tau:g}" if kind == "sss" else "")
+    # one row per grid node, phi-major
+    _write_csv(out_path / f"{prefix}.csv", ("phi", "theta", "value"),
+               zip(np.repeat(result.phis, n_theta).tolist(),
+                   np.tile(result.thetas, n_phi).tolist(), result.values.ravel().tolist()))
+    _write_json(out_path / f"{prefix}.json", result)
     click.echo(str(out_path / f"{prefix}.csv"))
     click.echo(str(out_path / f"{prefix}.json"))
 
@@ -319,14 +327,10 @@ def qpd_cmd(settings, j, kind, tau, alpha, beta, chi, gamma, grid, out):
 @pass_settings
 def evolve_cmd(settings, j, tau, chi, gamma, out, fmt):
     """Evolve |J,J> under the twisting generator (no final rotation)."""
-    try:
-        fmt = settings.get("format", fmt, "both")
-        out_path = _out_dir(settings, out)
-        st = evolve(basis_state(j, j), tact_generator(j, chi=chi, gamma=gamma), tau)
-        paths = _emit_state(out_path, f"evolved_j{j:g}_tau{tau:g}", st, fmt)
-    except (ValueError, PropagationError) as exc:
-        _fail(exc)
-    for path in paths:
+    fmt = settings.get("format", fmt, "both")
+    out_path = _out_dir(settings, out)
+    st = evolve(basis_state(j, j), tact_generator(j, chi=chi, gamma=gamma), tau)
+    for path in _emit_state(out_path, f"evolved_j{j:g}_tau{tau:g}", st, fmt):
         click.echo(str(path))
 
 
@@ -341,25 +345,18 @@ def evolve_cmd(settings, j, tau, chi, gamma, out, fmt):
 @pass_settings
 def scan_cmd(settings, j, metric, tau_min, tau_max, grid, refine_tol, out):
     """Locate the evolution time optimizing one metric."""
-    try:
-        n_grid = settings.get("grid", grid, 512, int, key="scan-grid")
-        out_path = _out_dir(settings, out)
-        base = ScanSpec.auto(j, metric, n_grid=n_grid)
-        spec = ScanSpec(
-            j=j, metric=metric,
-            tau_min=tau_min if tau_min is not None else 0.0,
-            tau_max=tau_max if tau_max is not None else base.tau_max,
-            n_grid=n_grid,
-            refine_tol=refine_tol if refine_tol is not None else base.refine_tol,
-        )
-        result = scan_tau(spec)
-        prefix = f"scan_{metric}_j{j:g}"
-        row = _record(SweepRow(j, metric, result.tau_star, result.value_star, spec.n_grid,
-                               spec.refine_tol, status="ok"))
-        _write_csv(out_path / f"{prefix}.csv", _SCAN_COLUMNS, [[row[c] for c in _SCAN_COLUMNS]])
-        _write_json(out_path / f"{prefix}.json", result)
-    except (ValueError, PropagationError) as exc:
-        _fail(exc)
+    n_grid = settings.get("grid", grid, 512, int, key="scan-grid")
+    out_path = _out_dir(settings, out)
+    given = {name: value for name, value in
+             (("tau_min", tau_min), ("tau_max", tau_max), ("refine_tol", refine_tol))
+             if value is not None}
+    spec = dataclasses.replace(ScanSpec.auto(j, metric, n_grid=n_grid), **given)
+    result = scan_tau(spec)
+    prefix = f"scan_{metric}_j{j:g}"
+    row = _record(SweepRow(j, metric, result.tau_star, result.value_star, spec.n_grid,
+                           spec.refine_tol, status="ok"))
+    _write_csv(out_path / f"{prefix}.csv", _SCAN_COLUMNS, [[row[c] for c in _SCAN_COLUMNS]])
+    _write_json(out_path / f"{prefix}.json", result)
     click.echo(f"tau_star = {result.tau_star!r}")
     click.echo(f"value_star = {result.value_star!r}")
     click.echo(str(out_path / f"{prefix}.csv"))
@@ -402,14 +399,11 @@ def _read_pairs(path):
 @pass_settings
 def fit_cmd(settings, family, data_path, init, out):
     """Fit one scaling-law family to (J, value) pairs from a CSV file."""
-    try:
-        rows = _read_pairs(data_path)
-        init_params = settings.get("init", init, None, _parse_floats)
-        out_path = _out_dir(settings, out)
-        result = fit(family, rows, init=init_params)
-        _write_json(out_path / f"fit_{family}.json", result)
-    except (ValueError, FitError) as exc:
-        _fail(exc)
+    rows = _read_pairs(data_path)
+    init_params = settings.get("init", init, None, _parse_floats)
+    out_path = _out_dir(settings, out)
+    result = fit(family, rows, init=init_params)
+    _write_json(out_path / f"fit_{family}.json", result)
     click.echo(_json_text(result))
 
 
@@ -422,29 +416,26 @@ def fit_cmd(settings, family, data_path, init, out):
 def reproduce_cmd(settings, j_list, grid, out):
     """Run the full sweep-and-fit pipeline and compare against the
     published reference coefficients; exit nonzero if a check fails."""
-    try:
-        n_grid = settings.get("grid", grid, 512, int, key="scan-grid")
-        js = settings.get("j-list", j_list, None, _parse_floats)
-        out_path = _out_dir(settings, out)
-        report = run_reproduction(js, n_grid=n_grid)
-        _write_json(out_path / "report.json", report)
-        (out_path / "report.txt").write_text(report.to_text() + "\n")
-        _write_csv(out_path / "sweep.csv", _SWEEP_COLUMNS,
-                   [[_record(row)[c] for c in _SWEEP_COLUMNS] for row in report.sweep_rows])
-        _write_csv(out_path / "series.csv", SERIES_COLUMNS,
-                   [[entry.get(col, math.nan) for col in SERIES_COLUMNS]
-                    for entry in report.series])
-        _write_csv(out_path / "fit_comparison.csv",
-                   ("key", "family", "fitted_params", "published_params",
-                    "relative_deviation", "fitted_range", "stated_range", "status"),
-                   [(row.key, row.family,
-                     ";".join(_fmt(p) for p in row.fitted.model.params) if row.fitted else "",
-                     ";".join(_fmt(p) for p in row.published),
-                     ";".join(f"{k}={v:.6g}" for k, v in row.deviation.items()),
-                     row.j_range, row.stated_range, row.status)
-                    for row in report.fit_rows])
-    except (ValueError, PropagationError) as exc:
-        _fail(exc)
+    n_grid = settings.get("grid", grid, 512, int, key="scan-grid")
+    js = settings.get("j-list", j_list, None, _parse_floats)
+    out_path = _out_dir(settings, out)
+    report = run_reproduction(js, n_grid=n_grid)
+    _write_json(out_path / "report.json", report)
+    (out_path / "report.txt").write_text(report.to_text() + "\n")
+    _write_csv(out_path / "sweep.csv", _SWEEP_COLUMNS,
+               [[_record(row)[c] for c in _SWEEP_COLUMNS] for row in report.sweep_rows])
+    _write_csv(out_path / "series.csv", SERIES_COLUMNS,
+               [[entry.get(col, math.nan) for col in SERIES_COLUMNS]
+                for entry in report.series])
+    _write_csv(out_path / "fit_comparison.csv",
+               ("key", "family", "fitted_params", "published_params",
+                "relative_deviation", "fitted_range", "stated_range", "status"),
+               [(row.key, row.family,
+                 ";".join(_fmt(p) for p in row.fitted.model.params) if row.fitted else "",
+                 ";".join(_fmt(p) for p in row.published),
+                 ";".join(f"{k}={v:.6g}" for k, v in row.deviation.items()),
+                 row.j_range, row.stated_range, row.status)
+                for row in report.fit_rows])
     click.echo(report.to_text())
     click.echo(str(out_path / "report.json"))
     sys.exit(0 if report.all_passed else 1)

@@ -8,9 +8,10 @@ generators with no diagonal band (any other raises ValueError).  Each M-parity
 block of H = iG has one cached eigendecomposition H = P V diag(lam) V^T P* (unit
 phase gauge P, ``_bipartite_eigh``), so exp(-i t H) v = P V (exp(-i lam t) *
 V^T P* v) for a whole vector of t in one product; an empty block stays exactly
-zero.  Scans and ``make_sss`` read one cached window for |J,J> instead
-(``_twist_spectrum``): the modes it occupies (117 of 401 at J=400) and
-w = V^T P* e_0, V's first row there, so each state is P V (w * exp(-i lam t)).
+zero.  A twisted |J,J> has one cached form instead, per (J, chi, gamma)
+(``_twist_spectrum``): modes = P V diag(w) on the modes |J,J> occupies (117 of 401
+at J=400), w = V^T P* e_0 being V's first row there, so each state is the one
+product modes @ exp(-i lam t), for scans and ``make_sss`` alike.
 
 Rotations need no eigensolve and no rotation matrix.  exp(-i pi/2 Jy) is the
 real Wigner matrix Delta = d^J(pi/2), built in O(J^2) by a three-term recursion
@@ -49,7 +50,7 @@ from .states import SpinState
 
 _EVOLVE_NORM_TOL = 1e-10
 _WINDOW_TAIL = 1e-14  # norm of the |J,J> coefficients a mode window may drop
-_EIGEN_CACHE_SIZE = 32  # twisting parity blocks, and |J,J> windows, one per (J, chi, gamma)
+_EIGEN_CACHE_SIZE = 32  # twisting parity blocks, and twisted |J,J> forms, one per (J, chi, gamma)
 _WIGNER_CACHE_SIZE = 32  # Delta blocks (_wigner_block): one per J and column parity
 
 AXIS_LABELS = ("x", "y", "z")
@@ -136,36 +137,25 @@ def _bipartite_eigh(mag):
     return np.concatenate((-s, np.zeros(n - 2 * q), s[::-1])), vectors
 
 
-class _TridiagonalExp:
-    """exp(-i t H) for a Hermitian tridiagonal H with zero diagonal (a parity block of
-    the twisting generator) and upper band e: H = P T P* with unit phases P such that T
-    has off-diagonal |e|, and T = V diag(values) V^T (``_bipartite_eigh``).  When H is
-    purely imaginary, its action on a real vector is returned real."""
-
-    __slots__ = ("phase", "values", "vectors", "is_real")
-
-    def __init__(self, upper):
-        mag = np.abs(upper)
-        unit = np.ones(len(upper), dtype=complex)
-        nonzero = mag > 0
-        unit[nonzero] = np.conj(upper[nonzero]) / mag[nonzero]
-        phase = np.cumprod(np.concatenate(([1.0 + 0j], unit)))
-        self.phase = phase / np.abs(phase)  # keep |p_k| = 1 to round-off
-        self.values, self.vectors = _bipartite_eigh(mag)
-        self.is_real = not np.any(upper.real)
-        for arr in (self.phase, self.values, self.vectors):
-            arr.flags.writeable = False
-
-    def expand(self, t, coeff, real):
-        """P V (exp(-i lam t) * coeff), one column per entry of t; real when ``real``."""
-        waves = np.exp(-1j * np.multiply.outer(self.values, t)) * coeff[:, None]
-        out = self.phase[:, None] * _matvec(self.vectors, waves)
-        return out.real if real else out
+def _tridiagonal_eigensystem(upper):
+    """Read-only (phase, lam, V) of a Hermitian tridiagonal H with zero diagonal (a
+    parity block of the twisting generator) and upper band e: H = P T P* with unit
+    phases P such that T has off-diagonal |e|, and T = V diag(lam) V^T
+    (``_bipartite_eigh``)."""
+    mag = np.abs(upper)
+    unit = np.ones(len(upper), dtype=complex)
+    nonzero = mag > 0
+    unit[nonzero] = np.conj(upper[nonzero]) / mag[nonzero]
+    phase = np.cumprod(np.concatenate(([1.0 + 0j], unit)))
+    system = (phase / np.abs(phase), *_bipartite_eigh(mag))  # |p_k| = 1 to round-off
+    for arr in system:
+        arr.flags.writeable = False
+    return system
 
 
 @lru_cache(maxsize=_EIGEN_CACHE_SIZE)
-def _cached_eigensystem(upper: bytes) -> _TridiagonalExp:
-    return _TridiagonalExp(np.frombuffer(upper, dtype=complex))
+def _cached_eigensystem(upper: bytes):
+    return _tridiagonal_eigensystem(np.frombuffer(upper, dtype=complex))
 
 
 def _checked_taus(state: SpinState, generator: BandedOperator, taus) -> np.ndarray:
@@ -202,9 +192,12 @@ def evolve_many(state: SpinState, generator: BandedOperator, taus) -> np.ndarray
     for sector in (slice(0, None, 2), slice(1, None, 2)):
         if np.any(v[sector]):
             upper = 1j * generator.bands.get(2, np.zeros(state.dim - 2))[sector]
-            eig = _cached_eigensystem(upper.tobytes())
-            coeff = _matvec(eig.vectors.T, np.conj(eig.phase) * v[sector])
-            out[sector] = eig.expand(taus, coeff, eig.is_real and not np.any(v[sector].imag))
+            phase, lam, vectors = _cached_eigensystem(upper.tobytes())
+            coeff = _matvec(vectors.T, np.conj(phase) * v[sector])
+            waves = np.exp(-1j * np.multiply.outer(lam, taus)) * coeff[:, None]
+            block = phase[:, None] * _matvec(vectors, waves)
+            real = not (np.any(upper.real) or np.any(v[sector].imag))  # exp(-i t H) real
+            out[sector] = block.real if real else block
     return _unit_columns(out, "propagated")
 
 
@@ -331,24 +324,30 @@ def rotate(state: SpinState, axis, angle) -> SpinState:
 
 @lru_cache(maxsize=_EIGEN_CACHE_SIZE)
 def _twist_spectrum(j, chi, gamma):
-    """Read-only (eig, w), exp(G tau)|J,J> = eig.expand([tau], w, eig.is_real) on the
-    parity sector of |J,J> (0 off it), G = tact_generator(j, chi, gamma): the eigensystem
-    of H = iG there, solved uncached and kept on the modes |J,J> occupies; the least
-    |w_k| go while their norm stays within 1e-14.  Checked once for every tau, as
-    |exp(-i lam tau)| = 1: |w| = 1 and |P V w - e_0| within 1e-10, else PropagationError."""
-    eig = _TridiagonalExp(1j * tact_generator(j, chi, gamma).bands[2][0::2])
-    coeffs = eig.vectors[0]  # V^T P* e_0, as P_0 = 1
+    """Read-only (lam, modes, real): exp(G tau)|J,J> = modes @ exp(-i lam tau) on the
+    parity sector of |J,J> (0 off it), G = tact_generator(j, chi, gamma), and whether G
+    is real.  The eigensystem (phase, lam, V) of H = iG there is solved uncached and kept on
+    the modes |J,J> occupies, the least |w_k| of w = V^T P* e_0 = V's first row dropped
+    while their norm stays within 1e-14; modes = P V diag(w), column k being mode k's
+    share of |J,J>.  Checked once for every tau, as |exp(-i lam tau)| = 1: |w| = 1 and
+    |modes 1 - e_0| within 1e-10, else PropagationError."""
+    upper = 1j * tact_generator(j, chi, gamma).bands[2][0::2]
+    phase, lam, vectors = _tridiagonal_eigensystem(upper)
+    coeffs = vectors[0]
     order = np.argsort(np.abs(coeffs))
     keep = np.sort(order[np.cumsum(coeffs[order] ** 2) > _WINDOW_TAIL**2])
-    eig.values, eig.vectors = eig.values[keep], np.asfortranarray(eig.vectors[:, keep])
-    coeffs = coeffs[keep]
-    for arr in (eig.values, eig.vectors, coeffs):
+    lam, coeffs = lam[keep], coeffs[keep]
+    # (P V) diag(w); made first, so that the temporary V[:, keep] leaves no heap hole below it
+    modes = np.empty((len(phase), len(keep)), dtype=complex)
+    np.multiply(phase[:, None], vectors[:, keep], out=modes)
+    modes *= coeffs
+    for arr in (lam, modes):
         arr.flags.writeable = False
-    drift = eig.phase * (eig.vectors @ coeffs) - (np.arange(len(eig.phase)) == 0)
+    drift = modes.sum(axis=1) - (np.arange(len(phase)) == 0)
     worst = max(abs(np.linalg.norm(coeffs) - 1.0), np.linalg.norm(drift))
     if not worst <= _EVOLVE_NORM_TOL:
         raise PropagationError(f"twisted |J,J> at J={j} is off by {worst:.3e} in its eigenbasis")
-    return eig, coeffs
+    return lam, modes, not np.any(upper.real)
 
 
 def make_sss(j, tau, chi=1.0, gamma=0.0) -> SpinState:
@@ -357,15 +356,17 @@ def make_sss(j, tau, chi=1.0, gamma=0.0) -> SpinState:
 
     This is the canonical post-rotation squeezed state the squeezing
     metrics are defined on; scans score them on the twisted state before
-    the rotation instead (see ``scan``).  It is read off ``_twist_spectrum`` and turned
-    as amplitudes by Delta (``_quarter_turn``), each verified to unit norm; one state
-    is built.
+    the rotation instead (see ``scan``).  The twisted state is one product,
+    modes @ exp(-i lam tau), on the cached ``_twist_spectrum`` (its real part when
+    the generator is real), turned as amplitudes by Delta (``_quarter_turn``), each
+    verified to unit norm; one state is built.
     """
     if not (tau >= 0 and math.isfinite(tau)):
         raise ValueError("tau must be nonnegative and finite")
-    eig, coeffs = _twist_spectrum(j, chi, gamma)
-    twisted = np.eye(spin_dimension(j), 1, dtype=complex)  # |J,J>, exact at tau = 0
+    lam, modes, real = _twist_spectrum(j, chi, gamma)
+    twisted = np.eye(spin_dimension(j), 1, dtype=complex)[:, 0]  # |J,J>, exact at tau = 0
     if tau:
-        twisted[0::2] = eig.expand([tau], coeffs, eig.is_real)
-    twisted = _unit_columns(twisted, "propagated")[:, 0]
+        sector = modes @ np.exp(-1j * tau * lam)
+        twisted[0::2] = sector.real if real else sector
+    twisted = _unit_columns(twisted, "propagated")
     return SpinState(j, _unit_columns(_quarter_turn(validate_spin(j), twisted), "rotated"))

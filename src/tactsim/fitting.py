@@ -155,8 +155,8 @@ _FAMILIES = {
     "log_over_linear": _FamilySpec(
         ("a", "b"), _lol_eval, _lol_jac, _lol_init,
         limit=lambda a, b: 0.0,
-        domain_error=lambda j, a, b: None if a * j > 0
-        else f"log_over_linear requires a*j > 0, got a={a}, j={j}"),
+        domain_error=lambda j, a, b: None if 0 < a * j < math.inf
+        else f"log_over_linear requires a finite a*j > 0, got a={a}, j={j}"),
 }
 
 FAMILY_NAMES = tuple(_FAMILIES)
@@ -170,9 +170,10 @@ def _family_spec(family: str) -> _FamilySpec:
 
 
 def evaluate(model: FitModel, j) -> float:
-    """Closed-form model value at j; j may be math.inf for the limit."""
+    """Closed-form model value at j; j = math.inf gives the J -> infinity limit, and
+    any other j outside the family's domain (-math.inf, NaN) raises ValueError."""
     spec = _family_spec(model.family)
-    if math.isinf(j):
+    if j == math.inf:
         return spec.limit(*model.params)
     problem = spec.domain_error(j, *model.params)
     if problem:
@@ -220,13 +221,15 @@ def fit(family: str, data, init=None) -> FitResult:
         p = np.asarray([float(v) for v in init])
         if p.shape != (len(spec.param_names),):
             raise FitError(f"{family} needs {len(spec.param_names)} initial parameters")
+        if not np.all(np.isfinite(p)):
+            raise FitError(f"init must be finite, got {tuple(p.tolist())}")
     else:
         p = spec.auto_init(jj, yy)
 
     with np.errstate(all="ignore"):
         r = spec.evaluate(jj, p) - yy
         if not np.isfinite(r).all():
-            raise FitError(f"initial parameters {tuple(p)} leave the model domain")
+            raise FitError(f"initial parameters {tuple(p.tolist())} leave the model domain")
         rss = float(r @ r)
         rss_floor = (1e-14 * (1.0 + float(np.linalg.norm(yy)))) ** 2
         lam, converged, iterations = 1e-3, False, 0

@@ -108,12 +108,6 @@ class QpdGrid:
         it = int(np.argmin(np.abs(self.thetas - theta)))
         return float(self.values[ip, it])
 
-    def csv_rows(self):
-        """Yield (phi, theta, value) in row-major phi-then-theta order."""
-        for ip, phi in enumerate(self.phis):
-            for it, theta in enumerate(self.thetas):
-                yield float(phi), float(theta), float(self.values[ip, it])
-
 
 @lru_cache(maxsize=8)
 def _grid_axes(n_phi, n_theta):

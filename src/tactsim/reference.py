@@ -19,9 +19,6 @@ class ReferenceLaw:
     stated_range: str
     description: str
 
-    def value(self, j) -> float:
-        return evaluate(self.model, j)
-
 
 REFERENCE_LAWS = {
     law.key: law
@@ -79,7 +76,7 @@ REFERENCE_LAWS = {
 
 
 def reference_value(key: str, j) -> float:
-    return REFERENCE_LAWS[key].value(j)
+    return evaluate(REFERENCE_LAWS[key].model, j)
 
 
 def default_tau_max(j) -> float:

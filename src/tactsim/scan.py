@@ -7,15 +7,15 @@ golden-section search.  Scans are deterministic: identical specs yield
 bitwise-identical results.
 
 The metrics are defined on R psi(tau), R = exp(-i pi/2 Jy), but a scan scores
-psi(tau) = exp(G tau)|J,J> on the cached eigen-coefficients of G in the parity
-sector of |J,J> (``dynamics._twist_spectrum``), R moved onto the metric: each
-metric binds one projection M per scan, and a grid is one product of M with the
-phases exp(-i lam tau); no state is built.  The spectrum keeps only the modes
-|J,J> occupies (117 of 401 at J=400); the mode block and the grid phases are built
-from it once per (J, window, grid) and shared read-only by the metrics of that J
-(``_scan_basis``); the phases have unit modulus, so the norm is checked once, on
-the spectrum.  The optimum is re-evaluated on the single-state path
-(``squeezed_state``, which reads the same spectrum and rotates) and that state is
+psi(tau) = exp(G tau)|J,J> = modes @ exp(-i lam tau), the form of the twisted |J,J>
+cached per (J, chi, gamma) by ``dynamics._twist_spectrum``, with R moved onto the
+metric: each metric binds one projection M per scan and scores the rows M modes
+against the phases exp(-i lam tau), a whole grid in one product; no state is built.
+The modes padded to full dimension and the grid phases are built once per (J,
+window, grid) and shared read-only by the metrics of that J (``_scan_basis``); the
+phases have unit modulus, so the norm is checked once, on the spectrum.  The
+optimum is re-evaluated on the single-state path (``squeezed_state``: ``make_sss``
+multiplies the same modes by the phases, then turns the state) and that state is
 kept as ``ScanResult.state``; a disagreement above 1e-10 relative plus 8 eps
 max(1, J) raises PropagationError.
 """
@@ -165,14 +165,14 @@ def _golden_section(f, a, b, tol, sign):
 def _scan_basis(j, tau_min, tau_max, n_grid):
     """Read-only (lam, modes, taus, phases) shared by the metrics of one spin, window
     and grid: psi(tau) = modes @ exp(-i lam tau), phases[:, k] = exp(-i lam taus[k])."""
-    eig, coeffs = _twist_spectrum(j, 1.0, 0.0)
-    modes = np.zeros((spin_dimension(j), len(coeffs)), dtype=complex)
-    modes[0::2] = eig.phase[:, None] * eig.vectors * coeffs  # column k: mode k's share of |J,J>
+    lam, sector, _ = _twist_spectrum(j, 1.0, 0.0)
+    modes = np.zeros((spin_dimension(j), sector.shape[1]), dtype=complex)
+    modes[0::2] = sector
     taus = np.linspace(tau_min, tau_max, n_grid)
-    phases = np.exp(-1j * np.multiply.outer(eig.values, taus))
+    phases = np.exp(-1j * np.multiply.outer(lam, taus))
     for arr in (modes, taus, phases):
         arr.flags.writeable = False
-    return eig.values, modes, taus, phases
+    return lam, modes, taus, phases
 
 
 def scan_tau(spec: ScanSpec) -> ScanResult:

@@ -86,7 +86,7 @@ def _normalized(j, amps) -> SpinState:
 def basis_state(j, m) -> SpinState:
     """The Jz eigenstate |J, M>."""
     validate_spin(j)
-    idx = int(round(j - m))
+    idx = int(round(j - m)) if math.isfinite(m) else -1  # NaN and +-inf are no level
     if abs((j - m) - idx) > 1e-9 or not 0 <= idx < spin_dimension(j):
         raise ValueError(f"M={m} is not a level of spin J={j}")
     amps = np.zeros(spin_dimension(j), dtype=complex)

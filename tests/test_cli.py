@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,7 @@ from scipy.special import gammaln
 from tactsim import cli, scan
 from tactsim.cli import main
 from tactsim.dynamics import PropagationError
-from tactsim.fitting import FitModel
+from tactsim.fitting import FitError, FitModel
 from tactsim.observables import QpdGrid
 from tactsim.scan import ScanResult, ScanSpec
 from tactsim.states import SpinState
@@ -195,6 +196,19 @@ class TestScanCommand:
         record = json.loads((tmp_path / "scan_var_z_max_j1.json").read_text())
         assert len(record["grid_taus"]) == 64
 
+    @pytest.mark.parametrize("flags,given", [
+        ([], {}),
+        (["--tau-max", "0.5"], {"tau_max": 0.5}),
+        (["--tau-min", "0.1", "--refine-tol", "1e-5"], {"tau_min": 0.1, "refine_tol": 1e-5}),
+    ])
+    def test_given_flags_replace_the_auto_spec(self, runner, tmp_path, flags, given):
+        result = runner.invoke(main, ["scan", "--j", "3", "--metric", "var_z_max",
+                                      "--grid", "32", "--out", str(tmp_path)] + flags)
+        assert result.exit_code == 0
+        record = json.loads((tmp_path / "scan_var_z_max_j3.json").read_text())
+        auto = dataclasses.asdict(ScanSpec.auto(3, "var_z_max", n_grid=32))
+        assert record["spec"] == {**auto, **given}
+
     def test_invalid_metric_spin_combination(self, runner, tmp_path):
         result = runner.invoke(main, ["scan", "--j", "2.5", "--metric",
                                       "fid_tfs", "--out", str(tmp_path)])
@@ -254,6 +268,16 @@ class TestFitCommand:
                                       "--init", "1,a", "--out", str(tmp_path)])
         assert result.exit_code == 1
         assert "--init: bad init value '1,a'" in result.output
+        assert not (tmp_path / "fit_shifted_power.json").exists()
+
+    @pytest.mark.parametrize("init", ["1,nan", "inf,1"])
+    def test_non_finite_init_names_option(self, runner, tmp_path, init):
+        data = tmp_path / "data.csv"
+        data.write_text("J,value\n10,6.0\n20,11.0\n30,16.0\n")
+        result = runner.invoke(main, ["fit", "--family", "shifted_power", "--data", str(data),
+                                      "--init", init, "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert f"error: --init: bad init value {init!r}: numbers must be finite" in result.output
         assert not (tmp_path / "fit_shifted_power.json").exists()
 
     @pytest.mark.parametrize("bad_line", ["inf,3.0", "30,nan"])
@@ -478,7 +502,7 @@ class TestReproduceCommand:
                                       "--out", str(tmp_path)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # no traceback
-        assert "finite" in result.output
+        assert f"--j-list: bad j-list value {j_list!r}: numbers must be finite" in result.output
 
     def test_failed_scan_is_written_as_strict_json_with_its_error(self, runner, tmp_path,
                                                                  monkeypatch):
@@ -536,3 +560,29 @@ class TestOutIsResolvedFirst:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # never ran, no traceback
         assert "--out: bad out value " in result.output
+
+
+class TestOneErrorBoundary:
+    @pytest.mark.parametrize("args,work,exc", [
+        (["state", "--kind", "ewss", "--j", "1"], "_build_state", ValueError),
+        (["evolve", "--j", "2", "--tau", "0.1"], "evolve", PropagationError),
+        (["qpd", "--j", "1", "--kind", "ewss"], "qpd", ValueError),
+        (["scan", "--j", "2", "--metric", "fid_ewss"], "scan_tau", PropagationError),
+        (["fit", "--family", "shifted_power"], "fit", FitError),
+        (["reproduce-paper", "--j-list", "5,10,20,50"], "run_reproduction", ValueError),
+    ], ids=lambda value: value[0] if isinstance(value, list) else None)
+    def test_every_command_fails_as_error_exit_1(self, tmp_path, monkeypatch, capsys,
+                                                 args, work, exc):
+        def failing(*args, **kwargs):
+            raise exc("injected")
+
+        monkeypatch.setattr(cli, work, failing)
+        data = tmp_path / "data.csv"
+        data.write_text("10,6.0\n20,11.0\n30,16.0\n")
+        if args[0] == "fit":
+            args = args + ["--data", str(data)]
+        # the exit code a caller of main(..., standalone_mode=False) reads
+        with pytest.raises(SystemExit) as info:
+            main.main(args + ["--out", str(tmp_path)], standalone_mode=False)
+        assert info.value.code == 1
+        assert capsys.readouterr().err == "error: injected\n"

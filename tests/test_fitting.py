@@ -120,6 +120,19 @@ class TestEvaluate:
     def test_every_limit_branch(self, family, params, expected):
         assert evaluate(FitModel(family, params), math.inf) == expected
 
+    @pytest.mark.parametrize("family, params", [
+        ("sq_power_offset", (0.0743, 1.0, 0.932)),
+        ("shifted_power", (0.557, 1.03, 1.0)),
+        ("log_over_linear", (1.1, 4.02)),
+        ("log_over_linear", (-1.1, 4.02)),  # a*j = +inf at j = -inf
+    ])
+    @pytest.mark.parametrize("j", [-math.inf, math.nan])
+    def test_only_plus_infinity_is_the_limit(self, family, params, j):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="requires"):
+                evaluate(FitModel(family, params), j)
+
     def test_domain_boundaries(self):
         assert evaluate(FitModel("sq_power_offset", (2.0, 1.0, 3.0)), 4) == 12.25
         assert evaluate(FitModel("shifted_power", (1.0, -10.0, 0.5)), 10.25) == 0.5
@@ -169,6 +182,14 @@ class TestValidation:
         with pytest.raises(FitError, match="domain"):
             fit("log_over_linear", model_data("log_over_linear", (2.0, 4.0)),
                 init=(-5.0, 4.0))
+        with pytest.raises(FitError, match=r"^initial parameters \(-5\.0, 4\.0\) leave"):
+            fit("log_over_linear", model_data("log_over_linear", (2.0, 4.0)),
+                init=np.array([-5.0, 4.0]))
+
+    @pytest.mark.parametrize("init", [(1.0, math.nan), (math.inf, 4.0)])
+    def test_non_finite_init_rejected_by_name(self, init):
+        with pytest.raises(FitError, match=r"^init must be finite, got \((1\.0, nan|inf, 4\.0)\)$"):
+            fit("log_over_linear", model_data("log_over_linear", (2.0, 4.0)), init=init)
 
 
 class TestDiagnostics:

@@ -237,33 +237,39 @@ def test_scan_takes_one_eigensolve_and_no_per_tau_propagation(monkeypatch):
     dynamics._twist_spectrum.cache_clear()
     scan._scan_basis.cache_clear()
     dynamics._wigner_block(100, 0)  # the protocol rotation, warm
-    solves, taus = [], []
-    eigh, expand = dynamics._bipartite_eigh, dynamics._TridiagonalExp.expand
+    solves, states, checked = [], [], []
+    eigh, sss, unit_columns = dynamics._bipartite_eigh, scan.make_sss, dynamics._unit_columns
 
     def counted_eigh(mag):
         solves.append(len(mag) + 1)
         return eigh(mag)
 
-    def counted_expand(self, t, coeff, real):
-        taus.extend(t)  # every propagation, single-state or many-tau, expands modes
-        return expand(self, t, coeff, real)
+    def counted_sss(j, tau):
+        states.append(tau)
+        return sss(j, tau)
+
+    def counted_columns(out, what):
+        checked.append(what)  # every propagation and rotation checks its norm here
+        return unit_columns(out, what)
 
     monkeypatch.setattr(dynamics, "_bipartite_eigh", counted_eigh)
-    monkeypatch.setattr(dynamics._TridiagonalExp, "expand", counted_expand)
+    monkeypatch.setattr(scan, "make_sss", counted_sss)
+    monkeypatch.setattr(dynamics, "_unit_columns", counted_columns)
     res = scan_tau(ScanSpec.auto(50, "var_z_max"))
     assert solves == [51]  # the even sector of |J,J>, once
-    assert taus == [res.tau_star]  # the single-state cross-check only
+    assert states == [res.tau_star]  # the single-state cross-check only
+    assert checked == ["propagated", "rotated"]
 
 
 @pytest.mark.parametrize("metric", sorted(PER_STATE))
 def test_eigenbasis_off_unit_norm_raises_once_per_scan(monkeypatch, metric):
-    exact = dynamics._TridiagonalExp.__init__
+    exact = dynamics._bipartite_eigh
 
-    def scaled(self, upper):
-        exact(self, upper)
-        self.vectors = self.vectors * (1 + 1e-8)
+    def scaled(mag):
+        values, vectors = exact(mag)
+        return values, vectors * (1 + 1e-8)
 
-    monkeypatch.setattr(dynamics._TridiagonalExp, "__init__", scaled)
+    monkeypatch.setattr(dynamics, "_bipartite_eigh", scaled)
     dynamics._twist_spectrum.cache_clear()
     scan._scan_basis.cache_clear()
     with pytest.raises(PropagationError, match="eigenbasis"):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -197,6 +198,13 @@ class TestSpecialStates:
     def test_basis_state_validates_level(self):
         with pytest.raises(ValueError, match="not a level"):
             basis_state(1, 0.5)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+    def test_basis_state_names_a_non_finite_level(self, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^M={m} is not a level of spin J=3$"):
+                basis_state(3, m)
 
 
 class TestSpinStateInvariants:
