@@ -12,7 +12,6 @@ from types import ModuleType as _ModuleType
 from .dynamics import (
     PropagationError,
     evolve,
-    evolve_many,
     make_sss,
     rotate,
     tact_generator,

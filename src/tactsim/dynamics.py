@@ -3,15 +3,15 @@
 Units: hbar = 1, so the evolution operator for the twisting generator G is
 exp(G*tau) with G skew-hermitian and tau dimensionless when chi = 1.
 
-``evolve_many`` is the one propagator, for parity-preserving skew-hermitian
+``evolve`` is the one general propagator, for parity-preserving skew-hermitian
 generators with no diagonal band (any other raises ValueError).  Each M-parity
 block of H = iG has one cached eigendecomposition H = P V diag(lam) V^T P* (unit
 phase gauge P, ``_bipartite_eigh``), so exp(-i t H) v = P V (exp(-i lam t) *
-V^T P* v) for a whole vector of t in one product; an empty block stays exactly
-zero.  A twisted |J,J> has one cached form instead, per (J, chi, gamma)
-(``_twist_spectrum``): modes = P V diag(w) on the modes |J,J> occupies (117 of 401
-at J=400), w = V^T P* e_0 being V's first row there, so each state is the one
-product modes @ exp(-i lam t), for scans and ``make_sss`` alike.
+V^T P* v) is two products with V; an empty block stays exactly zero.  A twisted
+|J,J> has one cached form instead, per (J, chi, gamma) (``_twist_spectrum``):
+modes = P V diag(w) on the modes |J,J> occupies (117 of 401 at J=400), w = V^T P*
+e_0 being V's first row there, so each state is the one product
+modes @ exp(-i lam t), for scans and ``make_sss`` alike.
 
 Rotations need no eigensolve and no rotation matrix.  exp(-i pi/2 Jy) is the
 real Wigner matrix Delta = d^J(pi/2), built in O(J^2) by a three-term recursion
@@ -158,55 +158,46 @@ def _cached_eigensystem(upper: bytes):
     return _tridiagonal_eigensystem(np.frombuffer(upper, dtype=complex))
 
 
-def _checked_taus(state: SpinState, generator: BandedOperator, taus) -> np.ndarray:
-    """taus as a 1-D float array, once the generator's spin matches the
-    state's and every tau is finite."""
+def _checked_tau(state: SpinState, generator: BandedOperator, tau) -> float:
+    """tau as a float, once the generator's spin matches the state's and tau is
+    one finite time."""
     if generator.j != state.j:
         raise ValueError(f"generator spin {generator.j} does not match state spin {state.j}")
-    taus = np.asarray(taus, dtype=float)
-    if taus.ndim != 1:
-        raise ValueError(f"taus must be a 1-D sequence of times, got shape {taus.shape}")
-    if not np.all(np.isfinite(taus)):
+    tau = np.asarray(tau, dtype=float)
+    if tau.ndim:
+        raise ValueError(f"tau must be a single time, got shape {tau.shape}")
+    if not math.isfinite(tau):
         raise ValueError("tau must be finite")
-    return taus
+    return float(tau)
 
 
-def evolve_many(state: SpinState, generator: BandedOperator, taus) -> np.ndarray:
-    """exp(G*tau) applied to the state for every tau, as (dim, len(taus)) columns.
+def evolve(state: SpinState, generator: BandedOperator, tau) -> SpinState:
+    """Apply exp(G*tau) to the state.
 
     The generator must act on the same spin J, be skew-hermitian and couple
-    only M <-> M+-2, with no diagonal band; every tau must be finite.  Each
+    only M <-> M+-2, with no diagonal band; tau must be one finite time.  Each
     non-empty M-parity sector costs one product with the cached eigensystem of
-    H = iG there, and an empty sector stays exactly zero.  Every column's norm
-    is verified to 1 within 1e-10 and divided out; a column that fails raises
-    PropagationError rather than returning a silently inaccurate state.
+    H = iG there, and an empty sector stays exactly zero.  The norm is verified
+    to 1 within 1e-10 and divided out, else PropagationError.  tau = 0 returns
+    the input unchanged once the arguments are checked.
     """
-    taus = _checked_taus(state, generator, taus)
+    tau = _checked_tau(state, generator, tau)
     if not (generator.even_offsets_only and generator.is_symmetric(-1)
             and not np.any(generator.bands.get(0, 0))):
-        raise ValueError("evolve_many takes only parity-preserving skew-hermitian "
+        raise ValueError("evolve takes only parity-preserving skew-hermitian "
                          "generators with no diagonal band; the test oracles "
                          "dense_expm_evolve and krylov_evolve (tests/oracles.py) take any")
     v = state.amplitudes
-    out = np.zeros((state.dim, len(taus)), dtype=complex)
+    out = np.zeros(state.dim, dtype=complex)
     for sector in (slice(0, None, 2), slice(1, None, 2)):
         if np.any(v[sector]):
             upper = 1j * generator.bands.get(2, np.zeros(state.dim - 2))[sector]
             phase, lam, vectors = _cached_eigensystem(upper.tobytes())
             coeff = _matvec(vectors.T, np.conj(phase) * v[sector])
-            waves = np.exp(-1j * np.multiply.outer(lam, taus)) * coeff[:, None]
-            block = phase[:, None] * _matvec(vectors, waves)
+            block = phase * _matvec(vectors, np.exp(-1j * (lam * tau)) * coeff)
             real = not (np.any(upper.real) or np.any(v[sector].imag))  # exp(-i t H) real
             out[sector] = block.real if real else block
-    return _unit_columns(out, "propagated")
-
-
-def evolve(state: SpinState, generator: BandedOperator, tau) -> SpinState:
-    """Apply exp(G*tau) to the state: ``evolve_many`` at the single time tau.
-
-    tau = 0 returns the input unchanged once the arguments are checked.
-    """
-    amplitudes = evolve_many(state, generator, [tau])[:, 0]
+    amplitudes = _unit_columns(out, "propagated")
     return state if tau == 0.0 else SpinState(state.j, amplitudes)
 
 
@@ -304,9 +295,7 @@ def rotate(state: SpinState, axis, angle) -> SpinState:
     if isinstance(axis, tuple) and np.count_nonzero(axis) == 1:  # y-like: the real y route
         k = int(np.flatnonzero(axis)[0])
         axis, angle = AXIS_LABELS[k], angle * axis[k]
-    if (axis, angle) == ("y", math.pi / 2):
-        out = _quarter_turn(two_j, v)
-    elif axis == "z":
+    if axis == "z":
         # Jz is diagonal here; apply the phases exactly
         out = np.exp(-1j * angle * m_values(j)) * v
     elif axis == "y":

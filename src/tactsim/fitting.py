@@ -123,13 +123,14 @@ def _lol_jac(jj, p):
 
 
 def _lol_init(jj, yy):
-    # y*J = (log J + log a) / b is linear in log J
-    slope, intercept = np.polyfit(np.log(jj), yy * jj, 1)
-    if slope <= 0:
+    # y = u / J + v log(J) / J, u = log(a) / b and v = 1 / b, is linear in (u, v):
+    # its unweighted least squares is the fit itself
+    (u, v), *_ = np.linalg.lstsq(np.column_stack([1.0 / jj, np.log(jj) / jj]), yy, rcond=None)
+    if v <= 0:
         raise FitError(
             "log_over_linear auto-init needs data increasing in J*y; pass init"
         )
-    return np.array([math.exp(intercept / slope), 1.0 / slope])
+    return np.array([math.exp(u / v), 1.0 / v])
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Two independent propagation oracles for the tests.
 
 Both take any generator on its whole dense matrix, with the argument checks
-and the norm check of ``tactsim.dynamics.evolve_many``; the tests
-cross-check the propagator against them:
+and the norm check of ``tactsim.dynamics.evolve``, the one general
+propagator; the tests cross-check it against them:
 
 * ``dense_expm_evolve``: scaling-and-squaring on the complex matrix (scipy;
   Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from tactsim.dynamics import PropagationError, _checked_taus, _unit_columns
+from tactsim.dynamics import PropagationError, _checked_tau, _unit_columns
 from tactsim.operators import BandedOperator
 from tactsim.states import SpinState
 
@@ -103,8 +103,8 @@ def _krylov_expm_action(g, v, tau):
 
 def _oracle_evolve(state, generator, tau, action) -> SpinState:
     """action(g, v, tau) = exp(tau*g) v on the whole dense generator, with
-    the checks of ``evolve_many``; any generator is taken."""
-    tau = _checked_taus(state, generator, [tau])[0]
+    the checks of ``evolve``; any generator is taken."""
+    tau = _checked_tau(state, generator, tau)
     g = generator.to_dense()
     out = action(g.real if generator.is_real else g, state.amplitudes, tau)
     return SpinState(state.j, _unit_columns(out, "propagated"))

@@ -19,7 +19,6 @@ from tactsim.dynamics import (
     _quarter_turn,
     _quarter_turn_t,
     evolve,
-    evolve_many,
     make_sss,
     rotate,
     tact_generator,
@@ -134,6 +133,18 @@ class TestEvolve:
         with pytest.raises(ValueError, match="does not match"):
             evolve(basis_state(1, 1), tact_generator(2), 0.1)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_non_finite_tau_rejected_up_front(self, tau):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="tau must be finite"):
+                evolve(basis_state(10, 10), tact_generator(10), tau)
+
+    def test_non_scalar_tau_rejected(self):
+        # a ValueError, which the CLI reports as an error rather than a traceback
+        with pytest.raises(ValueError, match="tau must be a single time"):
+            evolve(basis_state(3, 3), tact_generator(3), [0.1, 0.2])
+
     def test_substep_cap_fails_loudly(self, monkeypatch):
         # dimension 121 exceeds the Krylov space, so real substepping is
         # needed and the cap of 1 cannot reach the tolerance
@@ -163,10 +174,10 @@ class TestSpectralDefault:
            gamma=st.floats(-math.pi, math.pi), fraction=st.floats(0.0, 1.0))
     @example(two_j=1, empty=None, seed=0, chi=1.0, gamma=0.0, fraction=1.0)
     @example(two_j=400, empty=None, seed=0, chi=1.0, gamma=0.0, fraction=1.0)
-    def test_evolve_many_matches_oracles_on_random_states(self, two_j, empty, seed, chi,
-                                                          gamma, fraction):
+    def test_evolve_matches_oracles_on_random_states(self, two_j, empty, seed, chi,
+                                                     gamma, fraction):
         # a random complex state in both parity sectors or one (empty: the sector
-        # left zero); any twisting generator passes evolve_many's symmetry check
+        # left zero); any twisting generator passes evolve's symmetry check
         j = two_j / 2
         rng = np.random.default_rng(seed)
         v = rng.normal(size=two_j + 1) + 1j * rng.normal(size=two_j + 1)
@@ -175,7 +186,7 @@ class TestSpectralDefault:
         start = SpinState(j, v / np.linalg.norm(v))
         g = tact_generator(j, chi, gamma)
         tau = fraction * default_tau_max(j)
-        got = evolve_many(start, g, [tau])[:, 0]
+        got = evolve(start, g, tau).amplitudes
         for oracle_evolve in (dense_expm_evolve, krylov_evolve):
             assert np.max(np.abs(got - oracle_evolve(start, g, tau).amplitudes)) <= 1e-12
 
@@ -246,9 +257,8 @@ class TestAutoBoundary:
                                                 _twist_minus_i_jz2],
                              ids=["odd_offsets", "hermitian", "diagonal_band"])
     def test_auto_rejects_other_generators(self, make_generator):
-        for propagate in (evolve, lambda s, g, tau: evolve_many(s, g, [tau])):
-            with pytest.raises(ValueError, match="dense_expm_evolve and krylov_evolve"):
-                propagate(basis_state(3, 3), make_generator(3), 0.2)
+        with pytest.raises(ValueError, match="dense_expm_evolve and krylov_evolve"):
+            evolve(basis_state(3, 3), make_generator(3), 0.2)
 
     @ORACLES
     @pytest.mark.parametrize("j", [0.5, 3, 7.5, 20])
@@ -294,48 +304,6 @@ class TestBipartiteEigh:
     def test_twisting_sector_bands(self, two_j, chi, gamma, parity):
         band = tact_generator(two_j / 2, chi=chi, gamma=gamma).bands[2]
         self._check(np.abs(band[parity::2]))
-
-
-class TestEvolveMany:
-    @pytest.mark.parametrize("gamma", [0.0, 0.3])
-    @pytest.mark.parametrize("j", [0.5, 1, 5.5, 50])
-    def test_columns_match_repeated_evolve(self, j, gamma):
-        g = tact_generator(j, gamma=gamma)
-        taus = np.linspace(0, default_tau_max(j), 9)
-        for start in (basis_state(j, j), make_css(j, CoherentSpinParams(0.3, 1.2))):
-            block = evolve_many(start, g, taus)
-            assert block.shape == (start.dim, len(taus))
-            for k, tau in enumerate(taus):
-                assert np.max(np.abs(block[:, k] - evolve(start, g, tau).amplitudes)) <= 1e-12
-
-    @pytest.mark.parametrize("tau", [math.nan, math.inf])
-    def test_non_finite_tau_rejected_up_front(self, tau):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValueError, match="tau must be finite"):
-                evolve_many(basis_state(10, 10), tact_generator(10), [0.1, tau])
-
-    def test_mismatched_spin_rejected(self):
-        with pytest.raises(ValueError, match="does not match"):
-            evolve_many(basis_state(1, 1), tact_generator(2), [0.1])
-
-    @pytest.mark.parametrize("taus", [0.1, [[0.1, 0.2], [0.3, 0.4]]], ids=["scalar", "2d"])
-    def test_taus_must_be_one_dimensional(self, taus):
-        with pytest.raises(ValueError, match="taus must be a 1-D"):
-            evolve_many(basis_state(3, 3), tact_generator(3), taus)
-
-    def test_generator_built_once_per_spin(self, monkeypatch):
-        built = []
-
-        def counted(*args, **kwargs):
-            built.append(args)
-            return tact_generator(*args, **kwargs)
-
-        monkeypatch.setattr(dynamics, "tact_generator", counted)
-        dynamics._twist_spectrum.cache_clear()
-        for tau in (0.01, 0.02, 0.03):
-            make_sss(7, tau)
-        assert len(built) == 1
 
 
 class TestRotate:
@@ -613,9 +581,22 @@ class TestMakeSSS:
         def forbidden(*args, **kwargs):
             raise AssertionError("a warm make_sss reached the general propagator")
 
-        for name in ("evolve", "evolve_many", "_cached_eigensystem", "_bipartite_eigh"):
+        for name in ("evolve", "_cached_eigensystem", "_bipartite_eigh"):
             monkeypatch.setattr(dynamics, name, forbidden)
         assert make_sss(60, 0.02).j == 60
+
+    def test_generator_built_once_per_spin(self, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return tact_generator(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "tact_generator", counted)
+        dynamics._twist_spectrum.cache_clear()
+        for tau in (0.01, 0.02, 0.03):
+            make_sss(7, tau)
+        assert len(built) == 1
 
 
 class TestConfigValidation:

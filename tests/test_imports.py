@@ -1,10 +1,15 @@
 """``import tactsim`` loads every submodule it exports and nothing the package
 does not use, scipy included: any such module is import time in every run.
-Nor does a run import a numpy submodule late, inside the work it times."""
+Nor does a run import a numpy submodule late, inside the work it times.  And
+every name a package module imports is used there, so that no deletion leaves
+a dead import behind."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
+
+from test_bench_sites import _traced_sites
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -39,3 +44,28 @@ def test_desk_run_and_state_request_load_no_module_late():
         "observables.qpd(make_css(20, CoherentSpinParams(alpha=0.4, beta=1.0)), 36, 19); "
         "print(*(set(sys.modules) - before))")
     assert not sorted(m for m in late if m.startswith(("numpy.", "scipy")))
+
+
+def _unused_imports(path):
+    """The imports of one module whose bound name the module never reads, each as
+    written: the dotted module of ``import a.b``, else the name bound."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imports = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports.update((a.asname or a.name.split(".")[0], a.asname or a.name)
+                           for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imports.update((a.asname or a.name, a.asname or a.name) for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {written for bound, written in imports.items() if bound not in used}
+
+
+def test_every_imported_name_is_used():
+    # kept on purpose: the package's re-exports (__init__.py), the numpy.fft preload,
+    # and the attributes the bench tracer wraps where no code of the module reads them
+    kept = {("observables", "numpy.fft")} | {(module, attr) for module, attr, _ in _traced_sites()}
+    unused = sorted(f"tactsim.{path.stem}: {name}"
+                    for path in (SRC / "tactsim").glob("*.py") if path.name != "__init__.py"
+                    for name in _unused_imports(path) if (path.stem, name) not in kept)
+    assert not unused, f"imported but never used: {unused}"
