@@ -133,6 +133,11 @@ class TestEvolve:
         with pytest.raises(ValueError, match="does not match"):
             evolve(basis_state(1, 1), tact_generator(2), 0.1)
 
+    def test_mismatched_spin_reported_before_tau_shape(self):
+        # a list of times with the wrong spin names the spin, not the tau shape
+        with pytest.raises(ValueError, match="does not match"):
+            evolve(basis_state(1, 1), tact_generator(2), [0.1])
+
     @pytest.mark.parametrize("tau", [math.nan, math.inf])
     def test_non_finite_tau_rejected_up_front(self, tau):
         with warnings.catch_warnings():
