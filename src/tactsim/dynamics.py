@@ -21,10 +21,10 @@ M times (-1)^(J-M'), so ``_quarter_turn`` and ``_quarter_turn_t`` get the
 bottom half from the same products, and build no block for a parity sector of
 the vector (or fold of it) that is all zero.  The twisted |J,J> fills one
 sector and the M-symmetric EWSS and twin-Fock have a zero odd fold, so
-``make_sss`` and every scan use the even block alone.  Every other axis and
-angle is applied to the vector as diagonal phases exp(-i a Jz) and products
-with Delta and Delta^T (``_y_turn``, ``rotate``), in O(J^2) time and O(J)
-memory beyond Delta's two blocks.
+``make_sss`` and every scan use the even block alone.  ``rotate`` turns by any
+angle about "x", "y" or "z" only, as diagonal phases Rz(a) = exp(-i a Jz) and
+products with Delta and Delta^T: about y through ``_y_turn``, about x as
+Delta Rz(a) Delta^T, in O(J^2) time and O(J) memory beyond Delta's two blocks.
 
 The tests cross-check the propagator against two oracles that take any
 generator on its whole dense matrix (``tests/oracles.py``).
@@ -58,24 +58,6 @@ AXIS_LABELS = ("x", "y", "z")
 
 class PropagationError(RuntimeError):
     """Propagation could not reach the requested accuracy."""
-
-
-def _axis_key(axis):
-    """A rotation axis as its label or as a unit vector of three floats.
-
-    Accepts "x", "y", "z" or any 3-sequence (tuple, list, ndarray) of unit
-    length within 1e-12; anything else raises ValueError.
-    """
-    if isinstance(axis, str):
-        if axis not in AXIS_LABELS:
-            raise ValueError(f"rotation axis label must be one of {AXIS_LABELS}")
-        return axis
-    vec = np.asarray(axis, dtype=float)
-    if vec.shape != (3,):
-        raise ValueError("rotation axis vector must have 3 components")
-    if not abs(np.linalg.norm(vec) - 1.0) <= 1e-12:  # NaN fails too
-        raise ValueError("rotation axis vector must be normalized (1e-12)")
-    return tuple(float(c) for c in vec)
 
 
 def tact_generator(j, chi=1.0, gamma=0.0) -> BandedOperator:
@@ -158,17 +140,22 @@ def _cached_eigensystem(upper: bytes):
     return _tridiagonal_eigensystem(np.frombuffer(upper, dtype=complex))
 
 
-def _checked_tau(state: SpinState, generator: BandedOperator, tau) -> float:
-    """tau as a float, once the generator's spin matches the state's and tau is
-    one finite time."""
-    if generator.j != state.j:
-        raise ValueError(f"generator spin {generator.j} does not match state spin {state.j}")
+def _single_time(tau) -> float:
+    """tau as a float, once it is one finite time."""
     tau = np.asarray(tau, dtype=float)
     if tau.ndim:
         raise ValueError(f"tau must be a single time, got shape {tau.shape}")
     if not math.isfinite(tau):
         raise ValueError("tau must be finite")
     return float(tau)
+
+
+def _checked_tau(state: SpinState, generator: BandedOperator, tau) -> float:
+    """tau as a float, once the generator's spin matches the state's and tau is
+    one finite time."""
+    if generator.j != state.j:
+        raise ValueError(f"generator spin {generator.j} does not match state spin {state.j}")
+    return _single_time(tau)
 
 
 def evolve(state: SpinState, generator: BandedOperator, tau) -> SpinState:
@@ -280,34 +267,24 @@ def _y_turn(two_j, beta, v):
 
 
 def rotate(state: SpinState, axis, angle) -> SpinState:
-    """Apply exp(-i * angle * J_axis); axis is "x", "y", "z" or a unit vector.
+    """Apply exp(-i * angle * J_axis) about the axis "x", "y" or "z".
 
-    An axis at polar angle theta and azimuth phi turns the state by
-    Rz(phi) Ry(theta) Rz(angle) Ry(-theta) Rz(-phi), Rz(a) = exp(-i a Jz) as
-    phases and each Ry from products with Delta (``_y_turn``); no rotation
-    matrix is built.  A vector along a coordinate axis takes that label's
-    route, and the result is verified to unit norm within 1e-10.
+    About z the phases Rz(angle) = exp(-i angle Jz) are exact; about y the real and
+    imaginary parts are turned apart (``_y_turn``), so a real state stays real; about
+    x, exp(-i angle Jx) = Delta Rz(angle) Delta^T, as Delta Jz Delta^T = Jx.  No
+    rotation matrix is built, and the result is verified to unit norm within 1e-10.
     """
+    if not (isinstance(axis, str) and axis in AXIS_LABELS):
+        raise ValueError(f"rotation axis must be one of {AXIS_LABELS}, got {axis!r}")
     if not math.isfinite(angle):
         raise ValueError("rotation angle must be finite")
-    j, v = state.j, state.amplitudes
-    axis, angle, two_j = _axis_key(axis), float(angle), validate_spin(j)
-    if isinstance(axis, tuple) and np.count_nonzero(axis) == 1:  # y-like: the real y route
-        k = int(np.flatnonzero(axis)[0])
-        axis, angle = AXIS_LABELS[k], angle * axis[k]
-    if axis == "z":
-        # Jz is diagonal here; apply the phases exactly
+    j, v, angle, two_j = state.j, state.amplitudes, float(angle), validate_spin(state.j)
+    if axis == "z":  # Jz is diagonal here; apply the phases exactly
         out = np.exp(-1j * angle * m_values(j)) * v
-    elif axis == "y":
-        # exp(-i angle Jy) is real: turn the real and imaginary parts apart
+    elif axis == "y":  # exp(-i angle Jy) is real: turn the real and imaginary parts apart
         out = _y_turn(two_j, angle, v.real).real + 1j * _y_turn(two_j, angle, v.imag).real
     else:
-        m = m_values(j)
-        x, y, z = (1.0, 0.0, 0.0) if axis == "x" else axis
-        polar, azimuth = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
-        t = angle * math.hypot(x, y, z)  # a vector axis may miss unit length by 1e-12
-        out = _y_turn(two_j, -polar, np.exp(1j * azimuth * m) * v)
-        out = np.exp(-1j * azimuth * m) * _y_turn(two_j, polar, np.exp(-1j * t * m) * out)
+        out = _quarter_turn(two_j, np.exp(-1j * angle * m_values(j)) * _quarter_turn_t(two_j, v))
     return SpinState(j, _unit_columns(out, "rotated"))
 
 
@@ -350,7 +327,8 @@ def make_sss(j, tau, chi=1.0, gamma=0.0) -> SpinState:
     the generator is real), turned as amplitudes by Delta (``_quarter_turn``), each
     verified to unit norm; one state is built.
     """
-    if not (tau >= 0 and math.isfinite(tau)):
+    tau = _single_time(tau)
+    if tau < 0:
         raise ValueError("tau must be nonnegative and finite")
     lam, modes, real = _twist_spectrum(j, chi, gamma)
     twisted = np.eye(spin_dimension(j), 1, dtype=complex)[:, 0]  # |J,J>, exact at tau = 0

@@ -1,4 +1,4 @@
-"""Collective spin operators stored in banded form.
+"""Collective spin operators stored in banded form, and their action as ladder products.
 
 Basis convention (shared by the whole package): the (2J+1)-dimensional
 space is indexed in descending M, index 0 <-> M = J.  A band with offset
@@ -45,6 +45,16 @@ def ladder_coefficients(j) -> np.ndarray:
     return np.sqrt(j * (j + 1) - m * (m + 1))
 
 
+def ladder_products(j, v):
+    """(J+ v, J- v) for a vector or a block of columns v of spin j, from the ladder
+    coefficients c alone: (J+ v)_i = c_i v_(i+1) and (J- v)_(i+1) = c_i v_i."""
+    lad = ladder_coefficients(j).reshape((-1,) + (1,) * (v.ndim - 1))
+    up = np.zeros(v.shape, np.result_type(v, float))
+    down = np.zeros_like(up)
+    up[:-1], down[1:] = lad * v[1:], lad * v[:-1]
+    return up, down
+
+
 @dataclass(frozen=True, eq=False)
 class BandedOperator:
     """Operator on the (2J+1)-dimensional spin space with bandwidth <= 2."""
@@ -89,22 +99,6 @@ class BandedOperator:
     def even_offsets_only(self) -> bool:
         """True when the operator couples only M <-> M, M+-2 (parity preserving)."""
         return all(d % 2 == 0 for d, c in self.bands.items() if np.any(c != 0))
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Product with a vector, or with each column of an (n, k) block,
-        using only the stored bands."""
-        n = self.dim
-        if vec.shape[:1] != (n,) or vec.ndim > 2:
-            raise ValueError(f"vector length {vec.shape} does not match dim {n}")
-        out = np.zeros(vec.shape, dtype=np.result_type(vec.dtype, *[c.dtype for c in self.bands.values()]))
-        for d, coef in self.bands.items():
-            coef = coef.reshape((-1,) + (1,) * (vec.ndim - 1))
-            if d >= 0:
-                out[: n - d] += coef * vec[d:]
-            else:
-                k = -d
-                out[k:] += coef * vec[: n - k]
-        return out
 
     def to_dense(self) -> np.ndarray:
         dtype = complex if any(np.iscomplexobj(c) for c in self.bands.values()) else float

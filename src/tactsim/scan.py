@@ -11,13 +11,14 @@ psi(tau) = exp(G tau)|J,J> = modes @ exp(-i lam tau), the form of the twisted |J
 cached per (J, chi, gamma) by ``dynamics._twist_spectrum``, with R moved onto the
 metric: each metric binds one projection M per scan and scores the rows M modes
 against the phases exp(-i lam tau), a whole grid in one product; no state is built.
-The modes padded to full dimension and the grid phases are built once per (J,
-window, grid) and shared read-only by the metrics of that J (``_scan_basis``); the
-phases have unit modulus, so the norm is checked once, on the spectrum.  The
-optimum is re-evaluated on the single-state path (``squeezed_state``: ``make_sss``
-multiplies the same modes by the phases, then turns the state) and that state is
-kept as ``ScanResult.state``; a disagreement above 1e-10 relative plus 8 eps
-max(1, J) raises PropagationError.
+As psi fills the even rows alone, M reads the modes as cached: the bras' even entries,
+and the odd rows of Jx psi and Jy psi from the ladder coefficients.  The grid phases
+are built once per (J, window, grid) and shared read-only, with the modes, by the
+metrics of that J (``_scan_basis``); the phases have unit modulus, so the norm is
+checked once, on the spectrum.  The optimum is re-evaluated on the single-state path
+(``squeezed_state``: ``make_sss`` multiplies the same modes by the phases, then turns
+the state) and that state is kept as ``ScanResult.state``; a disagreement above 1e-10
+relative plus 8 eps max(1, J) raises PropagationError.
 """
 
 import math
@@ -28,10 +29,10 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .dynamics import PropagationError, _quarter_turn_t, _twist_spectrum, make_sss
-from .observables import _spin_operators, fidelity, spin_moments
+from .observables import fidelity, spin_moments
 from .reference import default_tau_max
 from .states import SpinState, make_ewss, make_twin_fock
-from .operators import spin_dimension, validate_spin
+from .operators import ladder_coefficients, validate_spin
 
 _GRID_TIE_TOL = 1e-12
 _CROSS_CHECK_TOL = 1e-10
@@ -46,13 +47,18 @@ def _bra_row(make_target, j, modes, turned=True):
     which is R^T conj(target) on Delta's real blocks, or conj(target) itself when R
     fixes the target (``turned`` False: the twin-Fock state, the Jy = 0 eigenstate)."""
     bra = np.conj(make_target(j).amplitudes)
-    return (_quarter_turn_t(validate_spin(j), bra) if turned else bra)[None] @ modes
+    return (_quarter_turn_t(validate_spin(j), bra) if turned else bra)[None, 0::2] @ modes
 
 
 def _odd_rows(axis, j, modes):
     """J_x and J_y (axis 0, 1) flip the parity of M, so their mean on psi is exactly
-    0 and <(dJ)^2>^{1/2}, the unit the scaling laws are stated in, is |J psi|."""
-    return _spin_operators(validate_spin(j))[axis].apply(modes)[1::2]
+    0 and <(dJ)^2>^{1/2}, the unit the scaling laws are stated in, is |J psi|.  With c
+    the ladder coefficients, row 2k+1 of J+ psi is c_2k+1 psi_2k+2, of J- psi c_2k psi_2k."""
+    lad = ladder_coefficients(j)[:, None]
+    down = lad[0::2] * modes[: len(lad[0::2])]
+    up = np.zeros_like(down)
+    up[: len(modes) - 1] = lad[1::2] * modes[1:]
+    return (up + down) / 2 if axis == 0 else (up - down) * -0.5j
 
 
 # metric -> (+1 maximize or -1 minimize, power p, projection, single-state metric).
@@ -161,16 +167,15 @@ def _golden_section(f, a, b, tol, sign):
     return (a + d) / 2 if yc > yd else (c + b) / 2
 
 
-@lru_cache(maxsize=1)  # sweeps run a J's metrics back to back; modes is 10 MB at J=2000
+@lru_cache(maxsize=1)  # sweeps run a J's metrics back to back; phases are 1.3 MB at J=2000
 def _scan_basis(j, tau_min, tau_max, n_grid):
     """Read-only (lam, modes, taus, phases) shared by the metrics of one spin, window
-    and grid: psi(tau) = modes @ exp(-i lam tau), phases[:, k] = exp(-i lam taus[k])."""
-    lam, sector, _ = _twist_spectrum(j, 1.0, 0.0)
-    modes = np.zeros((spin_dimension(j), sector.shape[1]), dtype=complex)
-    modes[0::2] = sector
+    and grid: psi(tau) = modes @ exp(-i lam tau) on the even rows, ``_twist_spectrum``'s
+    cached (lam, modes) as they are, and phases[:, k] = exp(-i lam taus[k])."""
+    lam, modes, _ = _twist_spectrum(j, 1.0, 0.0)
     taus = np.linspace(tau_min, tau_max, n_grid)
     phases = np.exp(-1j * np.multiply.outer(lam, taus))
-    for arr in (modes, taus, phases):
+    for arr in (taus, phases):
         arr.flags.writeable = False
     return lam, modes, taus, phases
 

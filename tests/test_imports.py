@@ -69,3 +69,31 @@ def test_every_imported_name_is_used():
                     for path in (SRC / "tactsim").glob("*.py") if path.name != "__init__.py"
                     for name in _unused_imports(path) if (path.stem, name) not in kept)
     assert not unused, f"imported but never used: {unused}"
+
+
+def _private_definitions(tree):
+    """The private names a module binds at its top level: functions, classes and
+    constants, not dunders or imports."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_definition_is_read():
+    # a private helper or constant that no code of the package reads is left behind
+    # by a deletion; tests and the bench tracer do not count as readers
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in (SRC / "tactsim").glob("*.py")}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    unread = sorted(f"tactsim.{stem}: {name}" for stem, tree in trees.items()
+                    for name in _private_definitions(tree) if name not in read)
+    assert not unread, f"defined but never read in the package: {unread}"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -322,6 +323,14 @@ class TestQpd:
         with pytest.raises(ValueError, match="lie in"):
             QpdGrid(j=1, phis=np.zeros(2), thetas=np.zeros(2),
                     values=np.full((2, 2), 1.5))
+
+    @pytest.mark.parametrize("values", [np.full((4, 3), math.nan),
+                                        json.loads("[[0.5, null, 0.5]" + ", [0.5, 0.5, 0.5]" * 3 + "]")],
+                             ids=["nan", "json-null"])
+    def test_grid_rejects_non_finite_values(self, values):
+        # NaN fails neither range test by itself, and the CLI writes a non-finite value as null
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            QpdGrid(1, np.linspace(0.0, 4.0, 4), np.linspace(0.0, math.pi, 3), values)
 
 
 class TestSpinMoments:

@@ -7,6 +7,7 @@ from tactsim.dynamics import tact_generator
 from tactsim.operators import (
     BandedOperator,
     build_operator,
+    ladder_products,
     m_values,
     spin_dimension,
     validate_spin,
@@ -22,10 +23,10 @@ def test_jz_diagonal():
 
 
 def test_jplus_ladder_action():
-    op = build_operator(1, "Jplus")
-    out = op.apply(np.array([0.0, 0.0, 1.0]))
-    # J+|1,-1> = sqrt(2) |1,0>
-    assert np.allclose(out, [0.0, np.sqrt(2), 0.0], atol=1e-15)
+    up, down = ladder_products(1, np.array([0.0, 0.0, 1.0]))
+    # J+|1,-1> = sqrt(2) |1,0>, and J- annihilates |1,-1>
+    assert np.allclose(up, [0.0, np.sqrt(2), 0.0], atol=1e-15)
+    assert not np.any(down)
 
 
 def test_jx_spin_half_is_half_pauli():
@@ -49,12 +50,21 @@ def test_quadrupole_matches_dense_ladder_square():
     assert np.allclose(op.to_dense(), expected, atol=1e-12)
 
 
-def test_apply_matches_dense_matvec():
-    j = 2.5
-    vec = np.linspace(-1, 1, spin_dimension(j)) + 0.3j
-    for kind in ("Jx", "Jy", "Jz", "Jplus", "Jminus", "Jplus2_minus_Jminus2"):
-        op = build_operator(j, kind)
-        assert np.allclose(op.apply(vec), op.to_dense() @ vec, atol=1e-13)
+@pytest.mark.parametrize("j", [0.5, 3, 7.5, 400])
+@pytest.mark.parametrize("shape", [(), (4,)], ids=["vector", "block"])
+def test_ladder_products_match_dense(j, shape):
+    # Jx and Jy as spin_moments forms them, and Jz = (J+ J- - J- J+) / 2 from the helper twice
+    rng = np.random.default_rng(round(2 * j))
+    size = (spin_dimension(j),) + shape
+    v = rng.normal(size=size) + 1j * rng.normal(size=size)
+    up, down = ladder_products(j, v)
+    formed = {"Jplus": up, "Jminus": down, "Jx": (up + down) / 2, "Jy": (up - down) * -0.5j,
+              "Jz": (ladder_products(j, down)[0] - ladder_products(j, up)[1]) / 2}
+    scale = np.max(np.abs(v)) * max(1.0, j)
+    for kind, got in formed.items():
+        assert got.shape == v.shape
+        expect = dense(j, kind) @ v
+        assert np.max(np.abs(got - expect)) <= 1e-14 * scale * (max(1.0, j) if kind == "Jz" else 1)
 
 
 def test_symmetry_is_computed_from_the_bands():

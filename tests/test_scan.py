@@ -11,6 +11,7 @@ from oracles import dense_expm_evolve, krylov_evolve
 from tactsim import cli, dynamics, scan
 from tactsim.dynamics import PropagationError, make_sss, rotate, tact_generator
 from tactsim.observables import fidelity, spin_moments
+from tactsim.operators import build_operator
 from tactsim.reference import default_tau_max, reference_value
 from tactsim.reproduce import run_reproduction
 from tactsim.scan import ScanResult, ScanSpec, scan_tau, scaling_sweep
@@ -199,13 +200,35 @@ def test_oracle_methods_find_the_same_optimum(metric, method):
     assert abs(tau - res.tau_star) <= spec.refine_tol
 
 
-@pytest.mark.parametrize("make_target, j", [(make_ewss, 4), (make_ewss, 33.5), (make_ewss, 200),
-                                             (make_twin_fock, 4), (make_twin_fock, 200)])
+def _padded(j, modes):
+    """The sector block modes (the even rows M = J, J - 2, ...) at full dimension."""
+    full = np.zeros((round(2 * j) + 1, modes.shape[1]), dtype=complex)
+    full[0::2] = modes
+    return full
+
+
+@pytest.mark.parametrize("make_target, j", [(make_ewss, 4), (make_ewss, 20.5), (make_ewss, 33.5),
+                                             (make_ewss, 200), (make_twin_fock, 4),
+                                             (make_twin_fock, 200)])
 def test_bra_row_is_the_target_turned_back(make_target, j):
+    # the sector row against the dense bra target^dag Delta on the zero-padded modes
     modes = scan._scan_basis(j, 0.0, default_tau_max(j), 8)[1]
     delta = dynamics._quarter_turn(round(2 * j), np.eye(round(2 * j) + 1))
     bra = np.conj(make_target(j).amplitudes) @ delta
-    assert np.max(np.abs(scan._bra_row(make_target, j, modes) - bra @ modes)) <= 1e-14
+    assert np.max(np.abs(scan._bra_row(make_target, j, modes) - bra @ _padded(j, modes))) <= 1e-14
+
+
+@pytest.mark.parametrize("j", [4, 20.5, 33.5, 200])
+def test_odd_rows_match_dense_operators(j):
+    # the odd rows of Jx psi and Jy psi formed on the sector, against the dense
+    # operators on the zero-padded modes, whose even rows they leave exactly zero
+    modes = dynamics._twist_spectrum(j, 1.0, 0.0)[1]
+    for axis, kind in enumerate(("Jx", "Jy")):
+        full = build_operator(j, kind).to_dense() @ _padded(j, modes)
+        assert not np.any(full[0::2])
+        got = scan._odd_rows(axis, j, modes)
+        assert got.shape == full[1::2].shape
+        assert np.max(np.abs(got - full[1::2])) <= 1e-14 * j
 
 
 @pytest.mark.parametrize("j", [2, 50, 400])
@@ -215,7 +238,7 @@ def test_twin_fock_bra_needs_no_turn(j):
     bra = np.conj(make_twin_fock(j).amplitudes)
     assert np.max(np.abs(dynamics._quarter_turn_t(2 * j, bra) - bra)) <= 1e-12
     modes = scan._scan_basis(j, 0.0, default_tau_max(j), 8)[1]
-    assert np.array_equal(scan.METRICS["fid_tfs"][2](j, modes), bra[None] @ modes)
+    assert np.array_equal(scan.METRICS["fid_tfs"][2](j, modes), bra[None, 0::2] @ modes)
 
 
 @pytest.mark.parametrize("j", [20, 20.5])
@@ -336,6 +359,13 @@ def test_shared_basis_scans_equal_cold_scans_bitwise(j):
         for name in ("grid_taus", "grid_values"):
             assert getattr(row.result, name).tobytes() == getattr(cold, name).tobytes()
         assert (row.result.tau_star, row.result.value_star) == (cold.tau_star, cold.value_star)
+
+
+@pytest.mark.parametrize("j", [20, 20.5])
+def test_scan_basis_holds_the_cached_modes(j):
+    # no padded copy: the scan reads the twisted |J,J>'s cached sector block itself
+    scan._scan_basis.cache_clear()
+    assert scan._scan_basis(j, 0.0, 1.0, 16)[1] is dynamics._twist_spectrum(j, 1.0, 0.0)[1]
 
 
 def test_scan_basis_is_read_only():
