@@ -7,13 +7,16 @@ JSON file comes from the one key table ``_JSON_KEYS`` and is strict JSON:
 a non-finite number is written as null.  --out is resolved before any work.
 
 Option precedence: command-line flags override the --config file, which
-overrides built-in defaults.  The config file is flat ``key = value``
-text; keys match option names (format, out, qpd-grid and scan-grid for
-the two meanings of --grid), and an unknown key, the old key grid, or a
-value that does not convert fails naming path:line.  A number list
-(--j-list, --init) that does not convert or holds a non-finite entry fails
-naming its option.  Any command's ValueError or PropagationError ends as
-``error: ...`` on stderr and exit code 1 (``_Group``).
+overrides built-in defaults; every command resolves each setting with the
+one function ``_setting``, which reads the parsed config from the root
+context (none when a subcommand is invoked on its own).  The config file
+is flat ``key = value`` text; keys match option names (format, out,
+qpd-grid and scan-grid for the two meanings of --grid), and an unknown
+key, the old key grid, or a value that does not convert fails naming
+path:line.  A number list (--j-list, --init) that does not convert or
+holds a non-finite entry fails naming its option.  Any command's
+ValueError or PropagationError ends as ``error: ...`` on stderr and exit
+code 1 (``_Group``).
 """
 
 import dataclasses
@@ -174,27 +177,22 @@ def _parse_floats(text):
     return values
 
 
-class _Settings:
-    """Resolved defaults: CLI flag > config file > built-in default."""
+def _setting(option, cli_value, default, convert=str, key=None):
+    """One setting, converted: the flag --option, else the config file's key
+    (option by default), else the built-in default."""
+    key = key or option
+    config = click.get_current_context().find_root().obj or {}
+    if cli_value is not None:
+        value, where, name = cli_value, f"--{option}", option
+    elif key in config:
+        (value, where), name = config[key], key
+    else:
+        return default
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: bad {name} value {value!r}: {exc}") from None
 
-    def __init__(self, config_values):
-        self.config = config_values
-
-    def get(self, option, cli_value, default, convert=str, key=None):
-        key = key or option
-        if cli_value is not None:
-            value, where, name = cli_value, f"--{option}", option
-        elif key in self.config:
-            (value, where), name = self.config[key], key
-        else:
-            return default
-        try:
-            return convert(value)
-        except ValueError as exc:
-            raise ValueError(f"{where}: bad {name} value {value!r}: {exc}") from None
-
-
-pass_settings = click.make_pass_decorator(_Settings)
 
 _OUT_OPTION = click.option("--out", type=click.Path(file_okay=False), default=None)
 _FORMAT_OPTION = click.option("--format", "fmt", type=click.Choice(_FORMATS), default=None)
@@ -218,7 +216,7 @@ class _Group(click.Group):
 @click.pass_context
 def main(ctx, config):
     """Collective-spin squeezing toolkit."""
-    ctx.obj = _Settings(_load_config(config))
+    ctx.obj = _load_config(config)
 
 
 def _make_dir(out) -> Path:
@@ -228,10 +226,6 @@ def _make_dir(out) -> Path:
     except OSError as exc:
         raise ValueError(f"cannot create the directory ({exc.strerror})") from None
     return path
-
-
-def _out_dir(settings, out) -> Path:
-    return settings.get("out", out, Path("."), _make_dir)
 
 
 def _build_state(kind, j, **flags) -> SpinState:
@@ -272,11 +266,10 @@ def _emit_state(out: Path, prefix: str, state: SpinState, fmt: str):
 @click.option("--gamma", type=float, default=0.0, show_default=True)
 @_OUT_OPTION
 @_FORMAT_OPTION
-@pass_settings
-def state(settings, kind, j, alpha, beta, tau, chi, gamma, out, fmt):
+def state(kind, j, alpha, beta, tau, chi, gamma, out, fmt):
     """Construct a named state; write its JSON record and P(M) CSV."""
-    fmt = settings.get("format", fmt, "both")
-    out_path = _out_dir(settings, out)
+    fmt = _setting("format", fmt, "both")
+    out_path = _setting("out", out, Path("."), _make_dir)
     st = _build_state(kind, j, alpha=alpha, beta=beta, tau=tau, chi=chi, gamma=gamma)
     prefix = f"state_{kind}_j{j:g}" + (f"_tau{tau:g}" if kind == "sss" else "")
     for path in _emit_state(out_path, prefix, st, fmt):
@@ -294,11 +287,10 @@ def state(settings, kind, j, alpha, beta, tau, chi, gamma, out, fmt):
 @click.option("--gamma", type=float, default=0.0)
 @click.option("--grid", default=None, help="Resolution as NPHIxNTHETA.")
 @_OUT_OPTION
-@pass_settings
-def qpd_cmd(settings, j, kind, tau, alpha, beta, chi, gamma, grid, out):
+def qpd_cmd(j, kind, tau, alpha, beta, chi, gamma, grid, out):
     """Quasi-probability distribution of a state on the Bloch sphere."""
-    n_phi, n_theta = settings.get("grid", grid, (360, 180), _parse_grid, key="qpd-grid")
-    out_path = _out_dir(settings, out)
+    n_phi, n_theta = _setting("grid", grid, (360, 180), _parse_grid, key="qpd-grid")
+    out_path = _setting("out", out, Path("."), _make_dir)
     if kind is None and tau is None:
         raise ValueError("give --kind, or --tau for the squeezed state")
     if kind is None:
@@ -324,11 +316,10 @@ def qpd_cmd(settings, j, kind, tau, alpha, beta, chi, gamma, grid, out):
 @click.option("--gamma", type=float, default=0.0, show_default=True)
 @_OUT_OPTION
 @_FORMAT_OPTION
-@pass_settings
-def evolve_cmd(settings, j, tau, chi, gamma, out, fmt):
+def evolve_cmd(j, tau, chi, gamma, out, fmt):
     """Evolve |J,J> under the twisting generator (no final rotation)."""
-    fmt = settings.get("format", fmt, "both")
-    out_path = _out_dir(settings, out)
+    fmt = _setting("format", fmt, "both")
+    out_path = _setting("out", out, Path("."), _make_dir)
     st = evolve(basis_state(j, j), tact_generator(j, chi=chi, gamma=gamma), tau)
     for path in _emit_state(out_path, f"evolved_j{j:g}_tau{tau:g}", st, fmt):
         click.echo(str(path))
@@ -342,11 +333,10 @@ def evolve_cmd(settings, j, tau, chi, gamma, out, fmt):
 @click.option("--grid", type=int, default=None, help="Coarse grid size.")
 @click.option("--refine-tol", type=float, default=None)
 @_OUT_OPTION
-@pass_settings
-def scan_cmd(settings, j, metric, tau_min, tau_max, grid, refine_tol, out):
+def scan_cmd(j, metric, tau_min, tau_max, grid, refine_tol, out):
     """Locate the evolution time optimizing one metric."""
-    n_grid = settings.get("grid", grid, 512, int, key="scan-grid")
-    out_path = _out_dir(settings, out)
+    n_grid = _setting("grid", grid, 512, int, key="scan-grid")
+    out_path = _setting("out", out, Path("."), _make_dir)
     given = {name: value for name, value in
              (("tau_min", tau_min), ("tau_max", tau_max), ("refine_tol", refine_tol))
              if value is not None}
@@ -396,12 +386,11 @@ def _read_pairs(path):
               required=True, help="CSV with two columns: J, value.")
 @click.option("--init", default=None, help="Comma-separated initial parameters.")
 @_OUT_OPTION
-@pass_settings
-def fit_cmd(settings, family, data_path, init, out):
+def fit_cmd(family, data_path, init, out):
     """Fit one scaling-law family to (J, value) pairs from a CSV file."""
     rows = _read_pairs(data_path)
-    init_params = settings.get("init", init, None, _parse_floats)
-    out_path = _out_dir(settings, out)
+    init_params = _setting("init", init, None, _parse_floats)
+    out_path = _setting("out", out, Path("."), _make_dir)
     result = fit(family, rows, init=init_params)
     _write_json(out_path / f"fit_{family}.json", result)
     click.echo(_json_text(result))
@@ -412,13 +401,12 @@ def fit_cmd(settings, family, data_path, init, out):
               help="Ascending integer J values to sweep.")
 @click.option("--grid", type=int, default=None, help="Coarse grid size.")
 @_OUT_OPTION
-@pass_settings
-def reproduce_cmd(settings, j_list, grid, out):
+def reproduce_cmd(j_list, grid, out):
     """Run the full sweep-and-fit pipeline and compare against the
     published reference coefficients; exit nonzero if a check fails."""
-    n_grid = settings.get("grid", grid, 512, int, key="scan-grid")
-    js = settings.get("j-list", j_list, None, _parse_floats)
-    out_path = _out_dir(settings, out)
+    n_grid = _setting("grid", grid, 512, int, key="scan-grid")
+    js = _setting("j-list", j_list, None, _parse_floats)
+    out_path = _setting("out", out, Path("."), _make_dir)
     report = run_reproduction(js, n_grid=n_grid)
     _write_json(out_path / "report.json", report)
     (out_path / "report.txt").write_text(report.to_text() + "\n")

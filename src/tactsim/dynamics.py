@@ -43,6 +43,7 @@ from .operators import (  # noqa: F401
     build_operator,
     ladder_coefficients,
     m_values,
+    single_number,
     spin_dimension,
     validate_spin,
 )
@@ -140,22 +141,12 @@ def _cached_eigensystem(upper: bytes):
     return _tridiagonal_eigensystem(np.frombuffer(upper, dtype=complex))
 
 
-def _single_time(tau) -> float:
-    """tau as a float, once it is one finite time."""
-    tau = np.asarray(tau, dtype=float)
-    if tau.ndim:
-        raise ValueError(f"tau must be a single time, got shape {tau.shape}")
-    if not math.isfinite(tau):
-        raise ValueError("tau must be finite")
-    return float(tau)
-
-
 def _checked_tau(state: SpinState, generator: BandedOperator, tau) -> float:
     """tau as a float, once the generator's spin matches the state's and tau is
     one finite time."""
     if generator.j != state.j:
         raise ValueError(f"generator spin {generator.j} does not match state spin {state.j}")
-    return _single_time(tau)
+    return single_number(tau, "tau", "time")
 
 
 def evolve(state: SpinState, generator: BandedOperator, tau) -> SpinState:
@@ -276,9 +267,8 @@ def rotate(state: SpinState, axis, angle) -> SpinState:
     """
     if not (isinstance(axis, str) and axis in AXIS_LABELS):
         raise ValueError(f"rotation axis must be one of {AXIS_LABELS}, got {axis!r}")
-    if not math.isfinite(angle):
-        raise ValueError("rotation angle must be finite")
-    j, v, angle, two_j = state.j, state.amplitudes, float(angle), validate_spin(state.j)
+    angle = single_number(angle, "rotation angle")
+    j, v, two_j = state.j, state.amplitudes, validate_spin(state.j)
     if axis == "z":  # Jz is diagonal here; apply the phases exactly
         out = np.exp(-1j * angle * m_values(j)) * v
     elif axis == "y":  # exp(-i angle Jy) is real: turn the real and imaginary parts apart
@@ -327,7 +317,7 @@ def make_sss(j, tau, chi=1.0, gamma=0.0) -> SpinState:
     the generator is real), turned as amplitudes by Delta (``_quarter_turn``), each
     verified to unit norm; one state is built.
     """
-    tau = _single_time(tau)
+    tau = single_number(tau, "tau", "time")
     if tau < 0:
         raise ValueError("tau must be nonnegative and finite")
     lam, modes, real = _twist_spectrum(j, chi, gamma)

@@ -25,6 +25,16 @@ def validate_spin(j) -> int:
     return two_j
 
 
+def single_number(value, name, kind="number") -> float:
+    """value as a float, once it is one finite number; else a ValueError naming it."""
+    value = np.asarray(value, dtype=float)
+    if value.ndim:
+        raise ValueError(f"{name} must be a single {kind}, got shape {value.shape}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return float(value)
+
+
 def spin_dimension(j) -> int:
     return validate_spin(j) + 1
 

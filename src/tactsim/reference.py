@@ -17,7 +17,6 @@ class ReferenceLaw:
     column: str  # the reproduction series column the law is fitted to
     model: FitModel
     stated_range: str
-    description: str
 
 
 REFERENCE_LAWS = {
@@ -27,49 +26,41 @@ REFERENCE_LAWS = {
             key="fid_ewss_max", column="value_fid_ewss",
             model=FitModel("sq_power_offset", (0.0298, 0.621, 0.995)),
             stated_range="J >= 400",
-            description="maximal fidelity to the equally-weighted superposition",
         ),
         ReferenceLaw(
             key="fid_tfs_max", column="value_fid_tfs",
             model=FitModel("sq_power_offset", (0.0743, 1.00, 0.932)),
             stated_range="all J",
-            description="maximal fidelity to the twin-Fock state",
         ),
         ReferenceLaw(
             key="dz_at_tau_ewss", column="dz_at_tau_ewss",
             model=FitModel("shifted_power", (0.557, 1.03, 1.00)),
             stated_range="J >= 300",
-            description="Jz standard deviation at the EWSS-optimal time",
         ),
         ReferenceLaw(
             key="dz_at_tau_tfs", column="dz_at_tau_tfs",
             model=FitModel("shifted_power", (0.775, 0.494, 1.00)),
             stated_range="all J",
-            description="Jz standard deviation at the twin-Fock-optimal time",
         ),
         ReferenceLaw(
             key="dz_max", column="value_var_z_max",
             model=FitModel("shifted_power", (0.799, 0.453, 1.00)),
             stated_range="all J",
-            description="Jz standard deviation maximized over the evolution time",
         ),
         ReferenceLaw(
             key="tau_ewss", column="tau_fid_ewss",
             model=FitModel("log_over_linear", (1.10, 4.02)),
             stated_range="all J",
-            description="evolution time maximizing the EWSS fidelity",
         ),
         ReferenceLaw(
             key="tau_tfs", column="tau_fid_tfs",
             model=FitModel("log_over_linear", (25.2, 3.93)),
             stated_range="all J",
-            description="evolution time maximizing the twin-Fock fidelity",
         ),
         ReferenceLaw(
             key="tau_dz_max", column="tau_var_z_max",
             model=FitModel("log_over_linear", (11.5, 3.94)),
             stated_range="all J",
-            description="evolution time maximizing the Jz fluctuation",
         ),
     )
 }

@@ -248,6 +248,9 @@ def scaling_sweep(j_list, metrics, n_grid: int = 512):
     PropagationError becomes a failed row with the exception type in
     ``error``, and any other exception propagates to the caller.
     """
+    for name, value in (("j_list", j_list), ("metrics", metrics)):
+        if isinstance(value, str):
+            raise ValueError(f"{name} must be a sequence, not the string {value!r}")
     j_list = list(j_list)
     metrics = list(metrics)
     if not j_list or not metrics:

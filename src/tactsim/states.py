@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import m_values, spin_dimension, validate_spin
+from .operators import m_values, single_number, spin_dimension, validate_spin
 
 NORM_TOL = 1e-12
 _TARGET_CACHE_SIZE = 32  # EWSS and twin-Fock states, one per J
@@ -27,9 +27,8 @@ class CoherentSpinParams:
     beta: float = 0.0
 
     def __post_init__(self):
-        alpha, beta = float(self.alpha), float(self.beta)
-        if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise ValueError("coherent-state angles must be finite")
+        alpha, beta = (single_number(getattr(self, name), name, "angle")
+                       for name in ("alpha", "beta"))
         beta = beta % TWO_PI
         if beta > math.pi:
             # (alpha, beta) and (alpha+pi, 2pi-beta) label the same direction

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -586,3 +587,29 @@ class TestOneErrorBoundary:
             main.main(args + ["--out", str(tmp_path)], standalone_mode=False)
         assert info.value.code == 1
         assert capsys.readouterr().err == "error: injected\n"
+
+
+class TestSubcommandOnItsOwn:
+    @pytest.mark.parametrize("command,args", [
+        (cli.state, ["--kind", "ewss", "--j", "1"]),
+        (cli.qpd_cmd, ["--j", "1", "--kind", "ewss", "--grid", "4x3"]),
+        (cli.evolve_cmd, ["--j", "2", "--tau", "0.1"]),
+        (cli.scan_cmd, ["--j", "2", "--metric", "fid_ewss", "--grid", "16"]),
+        (cli.fit_cmd, ["--family", "shifted_power"]),
+        (cli.reproduce_cmd, ["--j-list", "2,3,4", "--grid", "16"]),
+    ], ids=lambda value: value.name if isinstance(value, click.Command) else None)
+    def test_writes_the_files_main_writes(self, runner, tmp_path, command, args):
+        # invoked without main there is no config: the flags and built-in defaults resolve
+        data = tmp_path / "data.csv"
+        data.write_text("10,6.0\n20,11.0\n30,16.0\n")
+        if command is cli.fit_cmd:
+            args = args + ["--data", str(data)]
+        alone, through_main = tmp_path / "alone", tmp_path / "main"
+        result = runner.invoke(command, args + ["--out", str(alone)])
+        expected = runner.invoke(main, [command.name] + args + ["--out", str(through_main)])
+        assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+        assert result.exit_code == expected.exit_code
+        written = sorted(path.name for path in alone.iterdir())
+        assert written and written == sorted(path.name for path in through_main.iterdir())
+        for name in written:
+            assert (alone / name).read_bytes() == (through_main / name).read_bytes(), name

@@ -335,6 +335,14 @@ class TestRotate:
         with pytest.raises(ValueError, match=r"rotation axis must be one of \('x', 'y', 'z'\)"):
             rotate(basis_state(2, 2), axis, 0.5)
 
+    def test_angle_must_be_one_finite_number(self):
+        # a ValueError naming the angle, not numpy's "only 0-dimensional arrays" TypeError
+        with pytest.raises(ValueError,
+                           match=r"^rotation angle must be a single number, got shape \(2,\)$"):
+            rotate(basis_state(2, 2), "x", np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match="^rotation angle must be finite$"):
+            rotate(basis_state(2, 2), "y", math.nan)
+
     def test_quarter_turn_about_y_is_the_cached_wigner_matrix(self):
         dense = _quarter_turn(60, np.eye(61))
         for parity, rows in ((0, 31), (1, 30)):  # the odd block has no M = 0 row

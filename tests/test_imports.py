@@ -1,8 +1,9 @@
 """``import tactsim`` loads every submodule it exports and nothing the package
 does not use, scipy included: any such module is import time in every run.
 Nor does a run import a numpy submodule late, inside the work it times.  And
-every name a package module imports is used there, so that no deletion leaves
-a dead import behind."""
+every name a package module imports is used there, and every field a package
+dataclass declares is read, so that no deletion leaves a dead import or dead
+data behind."""
 
 import ast
 import subprocess
@@ -11,7 +12,8 @@ from pathlib import Path
 
 from test_bench_sites import _traced_sites
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 SUBMODULES = ("dynamics", "fitting", "observables", "operators", "reference", "reproduce",
               "scan", "states")
@@ -97,3 +99,29 @@ def test_every_private_definition_is_read():
     unread = sorted(f"tactsim.{stem}: {name}" for stem, tree in trees.items()
                     for name in _private_definitions(tree) if name not in read)
     assert not unread, f"defined but never read in the package: {unread}"
+
+
+def _dataclass_fields(tree):
+    """(class, field) of every field declared on a dataclass of one module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(getattr(d, "func", d)).split(".")[-1] == "dataclass"
+                for d in node.decorator_list):
+            yield from ((node.name, item.target.id) for item in node.body
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                        and not ast.unparse(item.annotation).startswith("ClassVar"))
+
+
+def test_every_dataclass_field_is_read():
+    # a field counts as read where src, tests or perfbench load it as an attribute or
+    # name it in a string (the cli._JSON_KEYS form); one nothing reads is dead data
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for folder in ("src", "tests", "perfbench") for path in (ROOT / folder).rglob("*.py")]
+    read = {node.attr if isinstance(node, ast.Attribute) else node.value
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    unread = sorted(f"{cls}.{name}" for path in (SRC / "tactsim").glob("*.py")
+                    for cls, name in _dataclass_fields(ast.parse(path.read_text()))
+                    if name not in read)
+    assert not unread, f"dataclass fields that nothing reads: {unread}"

@@ -119,6 +119,15 @@ def test_sweep_failed_row_names_exception_type():
     assert rows[0].error.startswith("ValueError: ")
 
 
+@pytest.mark.parametrize("j_list,metrics,name", [([5], "fid_ewss", "metrics"),
+                                               ("5", ["fid_ewss"], "j_list")])
+def test_sweep_rejects_a_string_for_a_list(monkeypatch, j_list, metrics, name):
+    # a string is iterable: it would give one failed row per character, not one error
+    monkeypatch.setattr(scan, "_run_row", lambda *args: pytest.fail("a scan ran"))
+    with pytest.raises(ValueError, match=f"^{name} must be a sequence, not the string"):
+        scaling_sweep(j_list, metrics)
+
+
 def test_sweep_reraises_programming_errors(monkeypatch):
     def broken(spec):
         raise TypeError("bug in a metric")

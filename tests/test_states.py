@@ -143,6 +143,13 @@ class TestCoherentState:
         with pytest.raises(ValueError, match="half-integer"):
             make_css(0.3, CoherentSpinParams())
 
+    def test_rejects_an_angle_that_is_not_one_finite_number(self):
+        # a ValueError naming the angle, not numpy's "only 0-dimensional arrays" TypeError
+        with pytest.raises(ValueError, match=r"^beta must be a single angle, got shape \(2,\)$"):
+            CoherentSpinParams(beta=np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match="^alpha must be finite$"):
+            CoherentSpinParams(alpha=math.inf)
+
 
 class TestSpecialStates:
     def test_ewss_small(self):
