@@ -8,13 +8,17 @@ Families
 
 The solver is Gauss-Newton with Levenberg-style damping, analytic
 Jacobians, and per-family auto-initialization obtained from the obvious
-linearization of each model.  Residuals are unweighted.  A fit runs under one
-``np.errstate``: a trial step that leaves the model domain has a nan or inf
-rss, which fails rss_try < rss like any worse step.
+linearization of each model.  Residuals are unweighted.  A fit has a few points
+and two or three parameters, so it runs on Python floats: each family is one
+scalar value and gradient in IEEE arithmetic (overflow is inf, an invalid log or
+power nan), and the damped system is solved by Gaussian elimination.  A trial
+step that leaves the model domain has a nan or inf rss, which fails rss_try < rss.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul
 
 import numpy as np
 
@@ -37,10 +41,8 @@ class FitModel:
         spec = _family_spec(self.family)
         params = tuple(float(p) for p in self.params)
         if len(params) != len(spec.param_names):
-            raise ValueError(
-                f"{self.family} takes {len(spec.param_names)} parameters, "
-                f"got {len(params)}"
-            )
+            raise ValueError(f"{self.family} takes {len(spec.param_names)} parameters, "
+                             f"got {len(params)}")
         if not all(math.isfinite(p) for p in params):
             raise ValueError("model parameters must be finite")
         object.__setattr__(self, "params", params)
@@ -60,20 +62,34 @@ class FitResult:
     converged: bool
 
 
-# --- model families ---------------------------------------------------
+def _pow(x, y):
+    """x ** y in IEEE arithmetic, as numpy has it where math.pow raises: inf on overflow
+    or at 0 to y < 0 (-inf for x < 0 and an odd y), nan for x < 0 and a fractional y."""
+    try:
+        return math.pow(x, y)
+    except (OverflowError, ValueError):
+        if x < 0 and not float(y).is_integer():
+            return math.nan
+        return math.copysign(math.inf, x) if y % 2 == 1 else math.inf
 
 
-def _sqpo_eval(jj, p):
-    a, b, c = p
-    return (a / jj**b + c) ** 2
+def _log(x):  # log x in IEEE arithmetic: -inf at 0, nan below
+    return math.log(x) if x > 0 else -math.inf if x == 0 else math.nan
 
 
-def _sqpo_jac(jj, p):
-    a, b, c = p
-    pw = jj ** (-b)
+def _div(x, y):  # x / y in IEEE arithmetic: x times a signed inf at y = 0
+    return x / y if y else x * math.copysign(math.inf, y)
+
+
+def _sqpo_value(j, a, b, c):
+    base = _div(a, _pow(j, b)) + c
+    return base * base
+
+
+def _sqpo_gradient(j, a, b, c):
+    pw = _pow(j, -b)
     base = a * pw + c
-    return np.column_stack([2 * base * pw, -2 * base * a * pw * np.log(jj),
-                            2 * base])
+    return 2 * base * pw, -2 * base * a * pw * math.log(j), 2 * base
 
 
 def _sqpo_init(jj, yy):
@@ -91,35 +107,17 @@ def _sqpo_init(jj, yy):
     return np.array([1.0, 1.0, c])
 
 
-def _shp_eval(jj, p):
-    a, b, c = p
-    return a * (jj + b) ** c
-
-
-def _shp_jac(jj, p):
-    a, b, c = p
-    shifted = jj + b
-    pw = shifted**c
-    return np.column_stack([pw, a * c * shifted ** (c - 1), a * pw * np.log(shifted)])
+def _shp_gradient(j, a, b, c):
+    shifted = j + b
+    pw = _pow(shifted, c)
+    return pw, a * c * _pow(shifted, c - 1), a * pw * _log(shifted)
 
 
 def _shp_init(jj, yy):
     if np.any(yy <= 0):
-        raise FitError(
-            "shifted_power auto-init needs positive values; pass init explicitly"
-        )
+        raise FitError("shifted_power auto-init needs positive values; pass init explicitly")
     slope, intercept = np.polyfit(np.log(jj), np.log(yy), 1)
     return np.array([math.exp(intercept), 0.0, slope])
-
-
-def _lol_eval(jj, p):
-    a, b = p
-    return np.log(a * jj) / (b * jj)
-
-
-def _lol_jac(jj, p):
-    a, b = p
-    return np.column_stack([1.0 / (a * b * jj), -np.log(a * jj) / (b**2 * jj)])
 
 
 def _lol_init(jj, yy):
@@ -127,34 +125,39 @@ def _lol_init(jj, yy):
     # its unweighted least squares is the fit itself
     (u, v), *_ = np.linalg.lstsq(np.column_stack([1.0 / jj, np.log(jj) / jj]), yy, rcond=None)
     if v <= 0:
-        raise FitError(
-            "log_over_linear auto-init needs data increasing in J*y; pass init"
-        )
+        raise FitError("log_over_linear auto-init needs data increasing in J*y; pass init")
     return np.array([math.exp(u / v), 1.0 / v])
 
 
 @dataclass(frozen=True)
 class _FamilySpec:
     param_names: tuple
-    evaluate: callable
-    jacobian: callable
+    value: callable  # (j, *params) -> model value at one J, in float arithmetic
+    gradient: callable  # (j, *params) -> its derivative by each parameter
     auto_init: callable
     limit: callable  # (*params) -> value at J = inf
     domain_error: callable  # (j, *params) -> message when j is outside the domain, else None
 
+    def evaluate(self, jj, p):  # the values at the points jj, as an array
+        return np.array([self.value(j, *map(float, p)) for j in np.asarray(jj, float).tolist()])
+
+    def jacobian(self, jj, p):  # the (points, parameters) Jacobian at the points jj
+        return np.array([self.gradient(j, *map(float, p)) for j in np.asarray(jj, float).tolist()])
+
 
 _FAMILIES = {
     "sq_power_offset": _FamilySpec(
-        ("a", "b", "c"), _sqpo_eval, _sqpo_jac, _sqpo_init,
+        ("a", "b", "c"), _sqpo_value, _sqpo_gradient, _sqpo_init,
         limit=lambda a, b, c: c**2 if b > 0 else (a + c) ** 2 if b == 0 else math.inf,
         domain_error=lambda j, a, b, c: None if j > 0 else "sq_power_offset requires j > 0"),
     "shifted_power": _FamilySpec(
-        ("a", "b", "c"), _shp_eval, _shp_jac, _shp_init,
+        ("a", "b", "c"), lambda j, a, b, c: a * _pow(j + b, c), _shp_gradient, _shp_init,
         limit=lambda a, b, c: math.copysign(math.inf, a) if c > 0 else a if c == 0 else 0.0,
         domain_error=lambda j, a, b, c: None if j + b > 0
         else f"shifted_power requires j + b > 0, got j={j}, b={b}"),
     "log_over_linear": _FamilySpec(
-        ("a", "b"), _lol_eval, _lol_jac, _lol_init,
+        ("a", "b"), lambda j, a, b: _div(_log(a * j), b * j),
+        lambda j, a, b: (_div(1.0, a * b * j), _div(-_log(a * j), b * b * j)), _lol_init,
         limit=lambda a, b: 0.0,
         domain_error=lambda j, a, b: None if 0 < a * j < math.inf
         else f"log_over_linear requires a finite a*j > 0, got a={a}, j={j}"),
@@ -179,7 +182,7 @@ def evaluate(model: FitModel, j) -> float:
     problem = spec.domain_error(j, *model.params)
     if problem:
         raise ValueError(problem)
-    return float(spec.evaluate(j, model.params))
+    return spec.value(float(j), *model.params)
 
 
 def _prepare_data(data):
@@ -196,11 +199,45 @@ def _prepare_data(data):
     return jj, yy
 
 
-def _gradient_cosine(jac, g, rss):
-    """Largest |cos| between r and a Jacobian column, from g = jac^T r and rss = |r|^2 > 0."""
-    cols = np.sqrt(np.add.reduce(jac * jac, axis=0))
-    cols = np.where(cols > 0, cols, 1.0)
-    return float((np.abs(g) / (cols * math.sqrt(rss))).max())
+def _normal_equations(rows, r):
+    """(J^T J, J^T r) as lists of floats, from the Jacobian's rows and the residuals."""
+    cols = list(zip(*rows))
+    return [[sum(map(mul, a, b)) for b in cols] for a in cols], [sum(map(mul, a, r)) for a in cols]
+
+
+def _stationary(jtj, g, rss):
+    """True when |cos| between r and every Jacobian column is at most GRADIENT_TOL, from
+    jtj = J^T J, g = J^T r and rss = |r|^2 > 0; a nan cosine is not small."""
+    root = math.sqrt(rss)
+    return all(abs(g[k]) / ((math.sqrt(row[k]) if row[k] > 0 else 1.0) * root) <= GRADIENT_TOL
+               for k, row in enumerate(jtj))
+
+
+def _damped_step(jtj, g, lam):
+    """The step x of (J^T J + lam D) x = -g, D = diag(J^T J) with zeros set to 1, by gesv's
+    Gaussian elimination with partial pivoting; None at an exactly 0 (singular) pivot."""
+    n = len(g)
+    m = [row + [-gk] for row, gk in zip(jtj, g)]
+    for k, row in enumerate(m):
+        row[k] += lam * (row[k] if row[k] > 0 else 1.0)
+    for k in range(n):
+        p = k
+        for i in range(k + 1, n):
+            if abs(m[i][k]) > abs(m[p][k]):
+                p = i
+        m[k], m[p] = m[p], m[k]
+        top = m[k]
+        if top[k] == 0:
+            return None
+        for row in m[k + 1:]:
+            f = row[k] / top[k]
+            for c in range(k + 1, n + 1):
+                row[c] -= f * top[c]
+    for k in range(n - 1, -1, -1):  # back substitution, into the last column
+        for c in range(k + 1, n):
+            m[k][n] -= m[k][c] * m[c][n]
+        m[k][n] /= m[k][k]
+    return [row[n] for row in m]
 
 
 def fit(family: str, data, init=None) -> FitResult:
@@ -219,60 +256,49 @@ def fit(family: str, data, init=None) -> FitResult:
     spec = _family_spec(family)
     jj, yy = _prepare_data(data)
     if init is not None:
-        p = np.asarray([float(v) for v in init])
-        if p.shape != (len(spec.param_names),):
+        p = [float(v) for v in init]
+        if len(p) != len(spec.param_names):
             raise FitError(f"{family} needs {len(spec.param_names)} initial parameters")
-        if not np.all(np.isfinite(p)):
-            raise FitError(f"init must be finite, got {tuple(p.tolist())}")
+        if not all(map(math.isfinite, p)):
+            raise FitError(f"init must be finite, got {tuple(p)}")
     else:
-        p = spec.auto_init(jj, yy)
-
-    with np.errstate(all="ignore"):
-        r = spec.evaluate(jj, p) - yy
-        if not np.isfinite(r).all():
-            raise FitError(f"initial parameters {tuple(p.tolist())} leave the model domain")
-        rss = float(r @ r)
-        rss_floor = (1e-14 * (1.0 + float(np.linalg.norm(yy)))) ** 2
-        lam, converged, iterations = 1e-3, False, 0
-        for iterations in range(1, MAX_ITERATIONS + 1):
-            jac = spec.jacobian(jj, p)
-            if not np.isfinite(jac).all():
-                raise FitError("Jacobian left the model domain during iteration")
-            g = jac.T @ r
-            if rss <= rss_floor or _gradient_cosine(jac, g, rss) <= GRADIENT_TOL:
-                converged = True
+        p = [float(v) for v in spec.auto_init(jj, yy)]
+    value, gradient, points = spec.value, spec.gradient, list(zip(jj.tolist(), yy.tolist()))
+    r = [value(j, *p) - y for j, y in points]
+    if not all(map(math.isfinite, r)):
+        raise FitError(f"initial parameters {tuple(p)} leave the model domain")
+    rss = sum(map(mul, r, r))
+    rss_floor = (1e-14 * (1.0 + float(np.linalg.norm(yy)))) ** 2
+    lam, converged, iterations = 1e-3, False, 0
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        rows = [gradient(j, *p) for j, _ in points]
+        if not all(map(math.isfinite, chain.from_iterable(rows))):
+            raise FitError("Jacobian left the model domain during iteration")
+        jtj, g = _normal_equations(rows, r)
+        if rss <= rss_floor or _stationary(jtj, g, rss):
+            converged = True
+            break
+        while lam < 1e15:
+            step = _damped_step(jtj, g, lam)
+            if step is None:
+                lam *= 10
+                continue
+            p_try = [pk + sk for pk, sk in zip(p, step)]
+            r_try = [value(j, *p_try) - y for j, y in points]
+            rss_try = sum(map(mul, r_try, r_try))
+            if rss_try < rss:
+                p, r, rss = p_try, r_try, rss_try
+                lam = max(lam / 3, 1e-14)
                 break
-            jtj = jac.T @ jac
-            jtj_diag = jtj.diagonal()
-            scale = np.where(jtj_diag > 0, jtj_diag, 1.0)
-            damped = jtj.copy()
-            damped_diag = damped.reshape(-1)[:: len(p) + 1]  # a writable view
-            neg_g = -g
-            while lam < 1e15:
-                damped_diag[:] = jtj_diag + lam * scale
-                try:
-                    step = np.linalg.solve(damped, neg_g)
-                except np.linalg.LinAlgError:
-                    lam *= 10
-                    continue
-                p_try = p + step
-                r_try = spec.evaluate(jj, p_try) - yy
-                rss_try = float(r_try @ r_try)
-                if rss_try < rss:
-                    p, r, rss = p_try, r_try, rss_try
-                    lam = max(lam / 3, 1e-14)
-                    break
-                lam *= 3
-            else:
-                break  # damping exhausted; report honestly below
-        jac = spec.jacobian(jj, p)
-        if not converged and np.isfinite(jac).all():
-            converged = rss <= rss_floor or _gradient_cosine(jac, jac.T @ r, rss) <= GRADIENT_TOL
-        param_se = _standard_errors(jac, rss, len(jj), len(p))
-    model = FitModel(family=family, params=tuple(p))
-    return FitResult(model=model, rss=rss, param_se=param_se,
-                     n_points=len(jj), iterations=iterations,
-                     converged=bool(converged))
+            lam *= 3
+        else:
+            break  # damping exhausted; report honestly below
+    jac = spec.jacobian(jj, p)
+    if not converged and np.isfinite(jac).all():
+        converged = rss <= rss_floor or _stationary(*_normal_equations(jac.tolist(), r), rss)
+    return FitResult(model=FitModel(family=family, params=tuple(p)), rss=rss,
+                     param_se=_standard_errors(jac, rss, len(jj), len(p)), n_points=len(jj),
+                     iterations=iterations, converged=converged)
 
 
 def _standard_errors(jac, rss, n, k):
@@ -283,5 +309,4 @@ def _standard_errors(jac, rss, n, k):
         cov = np.linalg.inv(jac.T @ jac) * (rss / dof)
     except np.linalg.LinAlgError:
         return tuple([math.nan] * k)
-    diag = np.diag(cov)
-    return tuple(math.sqrt(d) if d >= 0 else math.nan for d in diag)
+    return tuple(math.sqrt(d) if d >= 0 else math.nan for d in np.diag(cov))

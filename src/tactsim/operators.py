@@ -9,6 +9,7 @@ bandwidth at most 2.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,19 +41,27 @@ def spin_dimension(j) -> int:
 
 
 def m_values(j) -> np.ndarray:
-    """Jz eigenvalues in descending order, M = J, J-1, ..., -J."""
-    validate_spin(j)
-    return j - np.arange(spin_dimension(j))
+    """Jz eigenvalues in descending order, M = J, J-1, ..., -J (one read-only array per J)."""
+    return _spin_tables(validate_spin(j))[0]
 
 
 def ladder_coefficients(j) -> np.ndarray:
-    """<J,M+1|J+|J,M> = sqrt(J(J+1) - M(M+1)) laid out on band offset +1.
+    """<J,M+1|J+|J,M> = sqrt(J(J+1) - M(M+1)) on band offset +1 (one read-only array per J).
 
     Entry i is the element coupling index i (M) to index i+1 (M-1),
     i.e. the coefficient with M = m_values(j)[i+1].
     """
-    m = m_values(j)[1:]
-    return np.sqrt(j * (j + 1) - m * (m + 1))
+    return _spin_tables(validate_spin(j))[1]
+
+
+@lru_cache(maxsize=32)
+def _spin_tables(two_j):
+    """(m_values, ladder_coefficients) of spin two_j / 2, shared by every caller."""
+    j = two_j / 2
+    m = j - np.arange(two_j + 1)
+    lad = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
+    m.flags.writeable = lad.flags.writeable = False
+    return m, lad
 
 
 def ladder_products(j, v):

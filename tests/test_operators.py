@@ -7,6 +7,7 @@ from tactsim.dynamics import tact_generator
 from tactsim.operators import (
     BandedOperator,
     build_operator,
+    ladder_coefficients,
     ladder_products,
     m_values,
     spin_dimension,
@@ -100,6 +101,22 @@ def test_non_half_integer_spin_rejected():
         build_operator(0.7, "Jz")
     with pytest.raises(ValueError):
         m_values(-1)
+
+
+@pytest.mark.parametrize("j", [0.5, 3, 7.5, 400])
+def test_spin_tables_are_cached_read_only(j):
+    """m_values and ladder_coefficients are built once per 2J and handed to every
+    caller, so none may write to them; the values are the closed forms."""
+    m, lad = m_values(j), ladder_coefficients(j)
+    assert m is m_values(float(j)) and lad is ladder_coefficients(np.float64(j))
+    assert not m.flags.writeable and not lad.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        m[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        lad[0] = 0.0
+    exact = j - np.arange(2 * j + 1)
+    np.testing.assert_array_equal(m, exact)
+    np.testing.assert_array_equal(lad, np.sqrt(j * (j + 1) - exact[1:] * (exact[1:] + 1)))
 
 
 @pytest.mark.parametrize("j", [float("inf"), float("-inf"), float("nan")])
